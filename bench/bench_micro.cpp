@@ -118,11 +118,25 @@ void BM_EncoderDirtyUpdate(benchmark::State& state) {
   CandidateEncoder enc(q);
   enc.BuildAll(g);
   UpdateStreamGenerator gen(13);
-  UpdateBatch batch = gen.MakeInsertions(g, 128, 0);
+  const UpdateBatch insert = gen.MakeInsertions(g, 128, 0);
+  UpdateBatch remove = insert;
+  for (UpdateOp& op : remove) op.is_insert = false;
+  // Alternate the batch and its inverse on graph and encoder alike, so
+  // every refresh is a valid delta and the shared graph ends unchanged.
+  bool inserted = false;
   for (auto _ : state) {
-    enc.ApplyBatchDirty(g, batch);  // same state: measures the refresh
+    state.PauseTiming();
+    if (inserted) {
+      RevertBatch(&g, insert);
+    } else {
+      ApplyBatch(&g, insert);
+    }
+    state.ResumeTiming();
+    enc.ApplyBatchDirty(g, inserted ? remove : insert);
+    inserted = !inserted;
     benchmark::DoNotOptimize(enc.CandidateMask(0));
   }
+  if (inserted) RevertBatch(&g, insert);
 }
 BENCHMARK(BM_EncoderDirtyUpdate);
 

@@ -33,18 +33,12 @@ int CandidateEncoder::LabelIndex(Label l) const {
   return static_cast<int>(it - used_labels_.begin());
 }
 
-uint64_t CandidateEncoder::EncodeDataVertex(const LabeledGraph& g,
-                                            VertexId v) const {
-  int li = LabelIndex(g.VertexLabel(v));
+uint64_t CandidateEncoder::EncodeCounts(VertexId v) const {
+  const int li = label_index_[v];
   if (li < 0) return 0;  // label absent from the query: never a candidate
   const size_t n = used_labels_.size();
+  const uint32_t* counts = counts_.data() + v * n;
   uint64_t code = 1ull << li;
-  // One pass over the adjacency collecting per-used-label counts.
-  size_t counts[kMaxQueryVertices] = {};
-  for (const Neighbor& nb : g.Neighbors(v)) {
-    int ni = LabelIndex(g.VertexLabel(nb.v));
-    if (ni >= 0 && counts[ni] < 2) ++counts[ni];
-  }
   for (size_t i = 0; i < n; ++i) {
     code |= ThermometerBits2(counts[i]) << (n + 2 * i);
   }
@@ -62,41 +56,88 @@ uint16_t CandidateEncoder::ComputeMask(uint64_t code) const {
   return mask;
 }
 
+void CandidateEncoder::SetCode(VertexId v, uint64_t code) {
+  if (code != codes_[v]) {
+    codes_[v] = code;
+    table_[v] = ComputeMask(code);
+  }
+}
+
+void CandidateEncoder::Grow(const LabeledGraph& g) {
+  const size_t old = codes_.size();
+  const size_t nv = g.NumVertices();
+  label_index_.resize(nv);
+  counts_.resize(nv * used_labels_.size(), 0);
+  codes_.resize(nv, 0);
+  table_.resize(nv, 0);
+  for (VertexId v = static_cast<VertexId>(old); v < nv; ++v) {
+    label_index_[v] = static_cast<int8_t>(LabelIndex(g.VertexLabel(v)));
+    SetCode(v, EncodeCounts(v));  // an isolated vertex: label bit only
+  }
+}
+
 void CandidateEncoder::BuildAll(const LabeledGraph& g) {
-  codes_.resize(g.NumVertices());
-  table_.resize(g.NumVertices());
+  codes_.clear();
+  table_.clear();
+  label_index_.clear();
+  counts_.clear();
+  Grow(g);
+  const size_t n = used_labels_.size();
   for (VertexId v = 0; v < g.NumVertices(); ++v) {
-    codes_[v] = EncodeDataVertex(g, v);
-    table_[v] = ComputeMask(codes_[v]);
+    uint32_t* counts = counts_.data() + v * n;
+    for (const Neighbor& nb : g.Neighbors(v)) {
+      const int li = label_index_[nb.v];
+      if (li >= 0) ++counts[li];
+    }
+    SetCode(v, EncodeCounts(v));
   }
 }
 
 void CandidateEncoder::UpdateDirty(const LabeledGraph& g,
                                    std::span<const VertexId> dirty) {
+  const size_t n = used_labels_.size();
   for (VertexId v : dirty) {
-    if (v >= codes_.size()) {  // vertex added after BuildAll
-      codes_.resize(g.NumVertices(), 0);
-      table_.resize(g.NumVertices(), 0);
+    if (v >= codes_.size()) Grow(g);  // vertex added after BuildAll
+    // Labels are re-read from g, not from label_index_: callers that
+    // relabel vertices (CaLiG) list them here.
+    label_index_[v] = static_cast<int8_t>(LabelIndex(g.VertexLabel(v)));
+    uint32_t* counts = counts_.data() + v * n;
+    std::fill(counts, counts + n, 0u);
+    for (const Neighbor& nb : g.Neighbors(v)) {
+      const int li = LabelIndex(g.VertexLabel(nb.v));
+      if (li >= 0) ++counts[li];
     }
-    uint64_t code = EncodeDataVertex(g, v);
-    if (code != codes_[v]) {
-      codes_[v] = code;
-      table_[v] = ComputeMask(code);
-    }
+    SetCode(v, EncodeCounts(v));
   }
+}
+
+void CandidateEncoder::AdjustCount(VertexId v, int li, bool insert) {
+  if (li < 0) return;  // the neighbor's label is not in the query
+  const size_t n = used_labels_.size();
+  uint32_t& count = counts_[v * n + static_cast<size_t>(li)];
+  if (insert) {
+    ++count;
+  } else {
+    GAMMA_CHECK_MSG(count > 0,
+                    "neighbor count underflow: batch deletes an edge the "
+                    "encoder never saw");
+    --count;
+  }
+  if (label_index_[v] < 0) return;  // code is 0 whatever the counts
+  // Only label li's thermometer counter can have changed.
+  const size_t shift = n + 2 * static_cast<size_t>(li);
+  SetCode(v, (codes_[v] & ~(0b11ull << shift)) |
+                 (ThermometerBits2(count) << shift));
 }
 
 void CandidateEncoder::ApplyBatchDirty(const LabeledGraph& g,
                                        const UpdateBatch& batch) {
-  std::vector<VertexId> dirty;
-  dirty.reserve(batch.size() * 2);
+  if (g.NumVertices() > codes_.size()) Grow(g);
   for (const UpdateOp& op : batch) {
-    dirty.push_back(op.u);
-    dirty.push_back(op.v);
+    GAMMA_CHECK(op.u < codes_.size() && op.v < codes_.size());
+    AdjustCount(op.u, label_index_[op.v], op.is_insert);
+    AdjustCount(op.v, label_index_[op.u], op.is_insert);
   }
-  std::sort(dirty.begin(), dirty.end());
-  dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
-  UpdateDirty(g, dirty);
 }
 
 size_t CandidateEncoder::CountCandidates(VertexId u) const {

@@ -56,8 +56,9 @@ struct BatchResult {
   std::vector<MatchRecord> positive_matches;
   std::vector<MatchRecord> negative_matches;
 
-  /// Host time spent re-encoding dirty vertices (CPU preprocess; runs
-  /// concurrently with device work in the paper's async pipeline).
+  /// Host time of the host-graph mirror and the candidate-table update
+  /// (CPU preprocess; runs concurrently with device work in the paper's
+  /// async pipeline).
   double preprocess_host_seconds = 0.0;
   /// Simulated device time of the GPMA update kernel.
   DeviceStats update_stats;
@@ -116,7 +117,7 @@ class Gamma {
   /// ProcessBatch phases, shared with the engine adapter.  The batch
   /// passed to these must already be sanitized.
   WbmResult RunMatchPhase(const UpdateBatch& batch, bool positive);
-  /// GPMA + host mirror + dirty re-encode; fills the result's update
+  /// GPMA + host mirror + label-count deltas; fills the result's update
   /// stats and preprocess timing.
   void RunUpdatePhase(const UpdateBatch& batch, BatchResult* result);
 

@@ -64,7 +64,7 @@ class MultiGamma {
   void RunMatchAll(const UpdateBatch& batch, bool positive,
                    MultiBatchResult* out);
 
-  /// GPMA update + host mirror + dirty re-encode of every query's
+  /// GPMA update + host mirror + label-count deltas into every query's
   /// candidate table; fills the shared update stats and preprocess
   /// timing (batch must already be sanitized).
   void RunUpdate(const UpdateBatch& batch, MultiBatchResult* out);

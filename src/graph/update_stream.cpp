@@ -134,7 +134,9 @@ UpdateBatch UpdateStreamGenerator::MakeCoreInsertions(const LabeledGraph& g,
 UpdateBatch SanitizeBatch(const LabeledGraph& g, const UpdateBatch& batch) {
   UpdateBatch out;
   std::unordered_set<Edge, EdgeHash> seen;
+  const size_t n = g.NumVertices();
   for (const UpdateOp& op : batch) {
+    if (op.u >= n || op.v >= n) continue;  // endpoint not in the graph
     Edge e(op.u, op.v);
     if (op.u == op.v || seen.count(e)) continue;
     bool exists = g.HasEdge(op.u, op.v);

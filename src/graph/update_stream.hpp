@@ -78,7 +78,8 @@ class UpdateStreamGenerator {
 };
 
 /// Removes intra-batch conflicts: duplicate ops on one edge, insertion of
-/// existing edges, deletion of absent edges.  Keeps first occurrence.
+/// existing edges, deletion of absent edges, and ops with an endpoint
+/// outside the graph's vertex range.  Keeps first occurrence.
 UpdateBatch SanitizeBatch(const LabeledGraph& g, const UpdateBatch& batch);
 
 }  // namespace bdsm

@@ -367,6 +367,40 @@ TEST(EngineReportTest, TruncationIsUnified) {
   }
 }
 
+// Ops naming a vertex outside the graph are dropped by SanitizeBatch:
+// a batch carrying them reports exactly what the batch without them
+// does, and the engine's graph never sees the bad edge.
+TEST(EngineDynamicTest, OutOfRangeEndpointsAreDropped) {
+  LabeledGraph g = GenerateUniformGraph(120, 400, 3, 1, 55);
+  UpdateStreamGenerator gen(56);
+  const UpdateBatch clean = SanitizeBatch(g, gen.MakeMixed(g, 30, 2, 1, 0));
+  const VertexId n = static_cast<VertexId>(g.NumVertices());
+  UpdateBatch dirty = clean;
+  dirty.insert(dirty.begin() + 3, UpdateOp{true, 3, 100000});
+  dirty.push_back(UpdateOp{true, n, 0});
+  dirty.push_back(UpdateOp{false, 2, n + 7});
+
+  for (const char* name : {"gamma", "multi", "rf"}) {
+    SCOPED_TRACE(name);
+    auto with_bad = MakeEngine(name, g);
+    auto without = MakeEngine(name, g);
+    QueryId qa = with_bad->AddQuery(TriangleQuery());
+    QueryId qb = without->AddQuery(TriangleQuery());
+    BatchReport got = with_bad->ProcessBatch(dirty);
+    BatchReport want = without->ProcessBatch(clean);
+
+    EXPECT_EQ(with_bad->host_graph(), without->host_graph());
+    const QueryReport& a = *got.Find(qa);
+    const QueryReport& b = *want.Find(qb);
+    EXPECT_EQ(a.positive_matches, b.positive_matches);
+    EXPECT_EQ(a.negative_matches, b.negative_matches);
+    EXPECT_EQ(a.num_positive, b.num_positive);
+    EXPECT_EQ(a.num_negative, b.num_negative);
+    EXPECT_EQ(got.update_stats, want.update_stats);
+    EXPECT_EQ(got.match_stats, want.match_stats);
+  }
+}
+
 TEST(EngineReportTest, EmptyEngineStillAdvancesGraph) {
   LabeledGraph g = GenerateUniformGraph(60, 150, 2, 1, 53);
   UpdateStreamGenerator gen(54);
