@@ -140,6 +140,42 @@ void BM_EncoderDirtyUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_EncoderDirtyUpdate);
 
+// The "gamma" engine's update phase as it reports it: one host mirror
+// of the canonical graph plus each query lane's label-count deltas
+// (BatchReport::preprocess_host_seconds).  Host ns per op should grow
+// by a small per-lane delta from 1 to 8 queries, not by a mirror each.
+// The batch alternates with its inverse so the graph stays stationary;
+// matching runs but is not timed.
+void BM_GammaEngineUpdatePhase(benchmark::State& state) {
+  const size_t num_queries = static_cast<size_t>(state.range(0));
+  const LabeledGraph& g = bench::CachedDataset(DatasetId::kAmazon);
+  auto engine = MakeEngine("gamma", g);
+  for (size_t i = 0; i < num_queries; ++i) engine->AddQuery(BenchQuery());
+  UpdateStreamGenerator gen(23);
+  const UpdateBatch insert = gen.MakeInsertions(g, 256, 0);
+  UpdateBatch remove = insert;
+  for (UpdateOp& op : remove) op.is_insert = false;
+  bool inserted = false;
+  double seconds = 0.0;
+  size_t ops = 0;
+  for (auto _ : state) {
+    BatchReport report = engine->ProcessBatch(inserted ? remove : insert);
+    inserted = !inserted;
+    benchmark::DoNotOptimize(report.TotalMatches());
+    state.SetIterationTime(report.preprocess_host_seconds);
+    seconds += report.preprocess_host_seconds;
+    ops += insert.size();
+  }
+  state.counters["host_ns_per_op"] = seconds * 1e9 / static_cast<double>(ops);
+}
+BENCHMARK(BM_GammaEngineUpdatePhase)
+    ->Arg(1)
+    ->Arg(4)
+    ->Arg(8)
+    ->UseManualTime()
+    ->Iterations(64)
+    ->Unit(benchmark::kMicrosecond);
+
 // Engine choice is a registry index here — the same ProcessBatch loop
 // drives the device systems and the CPU baselines.
 const char* const kMicroEngines[] = {"gamma", "multi", "tf", "rf"};

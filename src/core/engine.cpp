@@ -267,13 +267,17 @@ namespace {
 
 // ----------------------------------------------------------- GammaEngine
 
-/// "gamma": the paper's single-query system, one full Gamma instance
-/// (own GPMA + encoder + device) per registered query.  This is the
-/// un-shared reference point the multi-query bench compares against.
-class GammaEngineBase : public Engine {
+/// "gamma": the paper's single-query system, one GammaLane (own GPMA +
+/// encoder + device) per registered query over one shared canonical
+/// host graph.  The update phase mirrors that graph once per batch and
+/// every lane's label-count deltas read it.  This is the un-shared
+/// device reference point the multi-query bench compares against.
+class GammaEngine final : public Engine {
  public:
-  GammaEngineBase(const LabeledGraph& g, const EngineOptions& options)
+  GammaEngine(const LabeledGraph& g, const EngineOptions& options)
       : options_(options.gamma), graph_(g) {}
+
+  const char* Name() const override { return "gamma"; }
 
   EngineInfo Describe() const override {
     EngineInfo info;
@@ -287,7 +291,7 @@ class GammaEngineBase : public Engine {
   QueryId AddQuery(const QueryGraph& q) override {
     Slot slot;
     slot.id = next_id_++;
-    slot.gamma = std::make_unique<Gamma>(graph_, q, options_);
+    slot.lane = std::make_unique<GammaLane>(graph_, q, options_);
     slots_.push_back(std::move(slot));
     return slots_.back().id;
   }
@@ -296,7 +300,7 @@ class GammaEngineBase : public Engine {
     std::vector<RegisteredQuery> out;
     out.reserve(slots_.size());
     for (const Slot& s : slots_) {
-      out.push_back(RegisteredQuery{s.id, s.gamma->query_context().q});
+      out.push_back(RegisteredQuery{s.id, s.lane->query_context().q});
     }
     return out;
   }
@@ -327,34 +331,12 @@ class GammaEngineBase : public Engine {
   const LabeledGraph& host_graph() const override { return graph_; }
 
  protected:
-  struct Slot {
-    QueryId id = kInvalidQueryId;
-    std::unique_ptr<Gamma> gamma;
-  };
-
-  GammaOptions options_;
-  LabeledGraph graph_;  ///< canonical evolving host graph
-  std::vector<Slot> slots_;
-  QueryId next_id_ = 0;
-};
-
-}  // namespace
-
-// Named (not in the anonymous namespace) because Gamma befriends it to
-// expose its phase methods.
-class GammaEngine final : public GammaEngineBase {
- public:
-  using GammaEngineBase::GammaEngineBase;
-
-  const char* Name() const override { return "gamma"; }
-
- protected:
   void RunMatchPhase(const UpdateBatch& batch, bool positive,
                      const BatchOptions& /*options*/,
                      BatchReport* report) override {
     for (size_t i = 0; i < slots_.size(); ++i) {
       Slot& s = slots_[i];
-      WbmResult r = s.gamma->RunMatchPhase(batch, positive);
+      WbmResult r = s.lane->RunMatchPhase(batch, positive);
       QueryReport* qr = &report->queries[i];  // InitReport order
       GAMMA_CHECK(qr->id == s.id);
       auto& dst = positive ? qr->positive_matches : qr->negative_matches;
@@ -371,22 +353,38 @@ class GammaEngine final : public GammaEngineBase {
   void RunUpdatePhase(const UpdateBatch& batch,
                       const BatchOptions& /*options*/,
                       BatchReport* report) override {
+    // The one host mirror, before any lane: the label-count deltas read
+    // the post-batch graph.  It runs even with no queries registered.
+    Timer mirror;
+    ApplyBatch(&graph_, batch);
+    const double mirror_seconds = mirror.ElapsedSeconds();
+    report->preprocess_host_seconds += mirror_seconds;
     for (size_t i = 0; i < slots_.size(); ++i) {
       Slot& s = slots_[i];
-      BatchResult tmp;
-      s.gamma->RunUpdatePhase(batch, &tmp);
+      LaneUpdate u = s.lane->ApplyUpdate(graph_, batch);
       QueryReport* qr = &report->queries[i];  // InitReport order
       GAMMA_CHECK(qr->id == s.id);
-      qr->update_stats = tmp.update_stats;
-      qr->timed_out = qr->timed_out || tmp.update_stats.timed_out;
-      qr->preprocess_host_seconds = tmp.preprocess_host_seconds;
-      report->update_stats.MergeSequential(tmp.update_stats);
-      report->preprocess_host_seconds += tmp.preprocess_host_seconds;
+      qr->update_stats = u.update_stats;
+      qr->timed_out = qr->timed_out || u.update_stats.timed_out;
+      qr->preprocess_host_seconds = mirror_seconds + u.delta_host_seconds;
+      report->update_stats.MergeSequential(u.update_stats);
+      report->preprocess_host_seconds += u.delta_host_seconds;
     }
-    // The canonical graph advances even with no queries registered.
-    ApplyBatch(&graph_, batch);
   }
+
+ private:
+  struct Slot {
+    QueryId id = kInvalidQueryId;
+    std::unique_ptr<GammaLane> lane;
+  };
+
+  GammaOptions options_;
+  LabeledGraph graph_;  ///< canonical evolving host graph
+  std::vector<Slot> slots_;
+  QueryId next_id_ = 0;
 };
+
+}  // namespace
 
 // ------------------------------------------------------ MultiGammaEngine
 

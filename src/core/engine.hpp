@@ -130,6 +130,9 @@ struct QueryReport {
 
   DeviceStats update_stats;  ///< zero for CPU engines
   DeviceStats match_stats;   ///< zero for CPU engines
+  /// Host preprocess behind this query (device engines): the batch's
+  /// one host-graph mirror plus this query's label-count deltas.
+  /// `multi` times its deltas together and reports the batch total.
   double preprocess_host_seconds = 0.0;
   double host_wall_seconds = 0.0;  ///< this query's host time share
 
@@ -161,6 +164,8 @@ struct BatchReport {
   /// shared-graph engines) and the matching launches.
   DeviceStats update_stats;
   DeviceStats match_stats;
+  /// Host preprocess of the update phase (device engines): one
+  /// host-graph mirror plus the sum of every query's label-count deltas.
   double preprocess_host_seconds = 0.0;
   double host_wall_seconds = 0.0;  ///< whole ProcessBatch call
   /// This batch's critical-path seconds (sum over phases of the
@@ -530,7 +535,8 @@ struct EngineDef {
 };
 
 /// Spec-tree-keyed engine factory.  Built-in names (case-insensitive):
-///   "gamma"              one device graph + kernel pipeline per query
+///   "gamma"              one device graph + kernel pipeline per query,
+///                        one host graph mirrored once per batch
 ///   "multi"              shared device graph, fused multi-query launches
 ///   "tf" | "turboflux"   TurboFlux-lite   (CPU baseline)
 ///   "sym" | "symbi"      SymBi-lite       (CPU baseline)

@@ -29,20 +29,19 @@ PolaritySeeds CollectSeeds(const UpdateBatch& batch, bool inserts) {
 
 }  // namespace
 
-Gamma::Gamma(const LabeledGraph& initial, const QueryGraph& query,
-             GammaOptions options)
+GammaLane::GammaLane(const LabeledGraph& g, const QueryGraph& query,
+                     const GammaOptions& options)
     : options_(options),
-      host_graph_(initial),
       gpma_(options.gpma_segment_capacity),
       qctx_(BuildQueryContext(query, options.coalesced_search,
                               options.aggressive_coalescing)),
       encoder_(query),
       device_(options.device) {
-  gpma_.BuildFrom(host_graph_);
-  encoder_.BuildAll(host_graph_);
+  gpma_.BuildFrom(g);
+  encoder_.BuildAll(g);
 }
 
-WbmResult Gamma::RunMatchPhase(const UpdateBatch& batch, bool positive) {
+WbmResult GammaLane::RunMatchPhase(const UpdateBatch& batch, bool positive) {
   PolaritySeeds seeds = CollectSeeds(batch, positive);
   if (seeds.seeds.empty()) return WbmResult{};
   WbmEnv env{&gpma_, &qctx_, &encoder_, &seeds.order, positive};
@@ -50,14 +49,20 @@ WbmResult Gamma::RunMatchPhase(const UpdateBatch& batch, bool positive) {
   return RunWbmKernel(device_, env, seeds.seeds);
 }
 
-void Gamma::RunUpdatePhase(const UpdateBatch& batch, BatchResult* result) {
+LaneUpdate GammaLane::ApplyUpdate(const LabeledGraph& mirrored,
+                                  const UpdateBatch& batch) {
+  LaneUpdate out;
   UpdatePlan plan = gpma_.ApplyBatch(batch);
-  result->update_stats = SimulateGpmaUpdate(device_, plan, options_.gpma);
+  out.update_stats = SimulateGpmaUpdate(device_, plan, options_.gpma);
   Timer host;
-  ApplyBatch(&host_graph_, batch);
-  encoder_.ApplyBatchDirty(host_graph_, batch);
-  result->preprocess_host_seconds = host.ElapsedSeconds();
+  encoder_.ApplyBatchDirty(mirrored, batch);
+  out.delta_host_seconds = host.ElapsedSeconds();
+  return out;
 }
+
+Gamma::Gamma(const LabeledGraph& initial, const QueryGraph& query,
+             GammaOptions options)
+    : host_graph_(initial), lane_(host_graph_, query, options) {}
 
 BatchResult Gamma::ProcessBatch(const UpdateBatch& raw_batch) {
   BatchResult result;
@@ -66,16 +71,22 @@ BatchResult Gamma::ProcessBatch(const UpdateBatch& raw_batch) {
   UpdateBatch batch = SanitizeBatch(host_graph_, raw_batch);
 
   // Negative matches: deleted-edge seeds on the pre-update state.
-  WbmResult neg = RunMatchPhase(batch, /*positive=*/false);
+  WbmResult neg = lane_.RunMatchPhase(batch, /*positive=*/false);
   result.negative_matches = std::move(neg.matches);
   result.match_stats.MergeSequential(neg.stats);
   result.overflowed = result.overflowed || neg.overflowed;
 
-  // Update: GPMA on the device, host mirror + re-encode on the CPU.
-  RunUpdatePhase(batch, &result);
+  // Update: host mirror first (the lane's label-count deltas read the
+  // post-batch graph), then the lane's GPMA update and deltas.
+  Timer mirror;
+  ApplyBatch(&host_graph_, batch);
+  const double mirror_seconds = mirror.ElapsedSeconds();
+  LaneUpdate update = lane_.ApplyUpdate(host_graph_, batch);
+  result.update_stats = update.update_stats;
+  result.preprocess_host_seconds = mirror_seconds + update.delta_host_seconds;
 
   // Positive matches: inserted-edge seeds on the post-update state.
-  WbmResult pos = RunMatchPhase(batch, /*positive=*/true);
+  WbmResult pos = lane_.RunMatchPhase(batch, /*positive=*/true);
   result.positive_matches = std::move(pos.matches);
   result.match_stats.MergeSequential(pos.stats);
   result.overflowed = result.overflowed || pos.overflowed;

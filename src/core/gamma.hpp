@@ -4,6 +4,15 @@
 /// the device), BDSM computational kernel (WBM + work stealing +
 /// coalesced search), Postprocess (match delivery).
 ///
+/// The pipeline is split in two.  A GammaLane is one query's device
+/// side (GPMA, query context, candidate encoder, device) and owns no
+/// host graph.  The owner of the host graph mirrors each sanitized batch
+/// into it once, then runs every lane's update step against that one
+/// mirrored graph.  Gamma below is one owned graph plus one lane; the
+/// "gamma" engine (core/engine.cpp) is one canonical graph plus a lane
+/// per registered query, so it pays one mirror per batch, not one per
+/// query.
+///
 /// Quickstart:
 ///   LabeledGraph g = LoadDataset(DatasetId::kGithub);
 ///   QueryGraph q = ...;
@@ -56,9 +65,9 @@ struct BatchResult {
   std::vector<MatchRecord> positive_matches;
   std::vector<MatchRecord> negative_matches;
 
-  /// Host time of the host-graph mirror and the candidate-table update
-  /// (CPU preprocess; runs concurrently with device work in the paper's
-  /// async pipeline).
+  /// Host time of the host-graph mirror plus this query's label-count
+  /// deltas (CPU preprocess; runs concurrently with device work in the
+  /// paper's async pipeline).
   double preprocess_host_seconds = 0.0;
   /// Simulated device time of the GPMA update kernel.
   DeviceStats update_stats;
@@ -92,11 +101,50 @@ struct BatchResult {
   }
 };
 
+/// What one lane's update step produced.
+struct LaneUpdate {
+  DeviceStats update_stats;         ///< simulated GPMA update kernel
+  double delta_host_seconds = 0.0;  ///< host time of the label-count deltas
+};
+
+/// One query's device-side pipeline: its GPMA, query context, candidate
+/// encoder and device.  A lane owns no host graph; whoever owns the
+/// graph mirrors each batch into it once and hands the result to every
+/// lane's update step.
+class GammaLane {
+ public:
+  /// Bulk-loads the GPMA from `g`, encodes every vertex and prepares the
+  /// query context (matching orders, equivalent-edge groups).  Keeps no
+  /// reference to `g`.
+  GammaLane(const LabeledGraph& g, const QueryGraph& query,
+            const GammaOptions& options);
+
+  /// One polarity's WBM launch over a sanitized batch: deleted-edge
+  /// seeds on the pre-update state, inserted-edge seeds on the
+  /// post-update state.
+  WbmResult RunMatchPhase(const UpdateBatch& batch, bool positive);
+
+  /// The update step: GPMA update, its simulated kernel, then the
+  /// label-count deltas.  `batch` must be sanitized against the
+  /// pre-batch graph and already applied to `mirrored` (the
+  /// precondition of CandidateEncoder::ApplyBatchDirty).
+  LaneUpdate ApplyUpdate(const LabeledGraph& mirrored,
+                         const UpdateBatch& batch);
+
+  const QueryContext& query_context() const { return qctx_; }
+
+ private:
+  GammaOptions options_;
+  Gpma gpma_;
+  QueryContext qctx_;
+  CandidateEncoder encoder_;
+  Device device_;
+};
+
+/// The single-query system: one owned host graph plus one lane.
 class Gamma {
  public:
-  /// Builds the system over an initial graph: bulk-loads the GPMA,
-  /// encodes every vertex, prepares the query context (matching orders,
-  /// equivalent-edge groups).
+  /// Builds the system over an initial graph (copied) and one lane.
   Gamma(const LabeledGraph& initial, const QueryGraph& query,
         GammaOptions options = {});
 
@@ -105,28 +153,11 @@ class Gamma {
   BatchResult ProcessBatch(const UpdateBatch& batch);
 
   const LabeledGraph& host_graph() const { return host_graph_; }
-  const Gpma& device_graph() const { return gpma_; }
-  const QueryContext& query_context() const { return qctx_; }
-  const GammaOptions& options() const { return options_; }
-  Device& device() { return device_; }
+  const QueryContext& query_context() const { return lane_.query_context(); }
 
  private:
-  friend class GammaEngine;  // drives the same phases via the unified
-                             // Engine interface (see core/engine.hpp)
-
-  /// ProcessBatch phases, shared with the engine adapter.  The batch
-  /// passed to these must already be sanitized.
-  WbmResult RunMatchPhase(const UpdateBatch& batch, bool positive);
-  /// GPMA + host mirror + label-count deltas; fills the result's update
-  /// stats and preprocess timing.
-  void RunUpdatePhase(const UpdateBatch& batch, BatchResult* result);
-
-  GammaOptions options_;
   LabeledGraph host_graph_;
-  Gpma gpma_;
-  QueryContext qctx_;
-  CandidateEncoder encoder_;
-  Device device_;
+  GammaLane lane_;
 };
 
 }  // namespace bdsm

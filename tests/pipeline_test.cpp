@@ -83,52 +83,67 @@ TEST(StreamPipelineTest, MatchesSerialProcessing) {
 }
 
 // The acceptance bar for multi-query pipelining: StreamPipeline over a
-// MultiGamma-backed engine must be *bit-identical* to per-batch
-// ProcessBatch — same match vectors in the same order, same stats.
-TEST(StreamPipelineTest, OverMultiGammaBitIdenticalToPerBatch) {
+// device engine with several queries must be *bit-identical* to
+// per-batch ProcessBatch — same match vectors in the same order, same
+// stats.  The stream is raw, so the async preparation really sanitizes
+// against the engine's host graph while the positive phase runs: the
+// one graph MultiGamma shares, or the canonical graph every "gamma"
+// lane reads.  Under TSan this also checks that overlap is race-free.
+TEST(StreamPipelineTest, OverDeviceEnginesBitIdenticalToPerBatch) {
   LabeledGraph g = GenerateUniformGraph(150, 500, 3, 1, 71);
-  auto stream = MakeStream(g, 4, 35, 72);
+  LabeledGraph evolving = g;
+  UpdateStreamGenerator gen(72);
+  std::vector<UpdateBatch> stream;
+  for (size_t i = 0; i < 6; ++i) {
+    stream.push_back(gen.MakeMixed(evolving, 40, 2, 1, 0));
+    ApplyBatch(&evolving, SanitizeBatch(evolving, stream.back()));
+  }
+  QueryGraph wedge({1, 0, 1});
+  wedge.AddEdge(0, 1);
+  wedge.AddEdge(1, 2);
 
   EngineOptions opts;
   opts.gamma.device.num_sms = 2;
 
-  auto serial = MakeEngine("multi", g, opts);
-  auto pipelined = MakeEngine("multi", g, opts);
-  std::vector<QueryId> ids;
-  for (const QueryGraph& q : {TestQuery(), PathQuery()}) {
-    QueryId a = serial->AddQuery(q);
-    QueryId b = pipelined->AddQuery(q);
-    ASSERT_EQ(a, b);
-    ids.push_back(a);
-  }
-
-  std::vector<BatchReport> want;
-  for (const UpdateBatch& b : stream) {
-    want.push_back(serial->ProcessBatch(b));
-  }
-
-  StreamPipeline pipe(pipelined.get());
-  std::vector<BatchReport> got;
-  pipe.Run(stream, &got);
-
-  ASSERT_EQ(got.size(), want.size());
-  for (size_t i = 0; i < got.size(); ++i) {
-    ASSERT_EQ(got[i].queries.size(), want[i].queries.size());
-    for (QueryId id : ids) {
-      const QueryReport* w = want[i].Find(id);
-      const QueryReport* p = got[i].Find(id);
-      ASSERT_NE(w, nullptr);
-      ASSERT_NE(p, nullptr);
-      // Bit-identical: exact vectors, not just canonicalized sets.
-      EXPECT_EQ(p->positive_matches, w->positive_matches)
-          << "batch " << i << " query " << id;
-      EXPECT_EQ(p->negative_matches, w->negative_matches)
-          << "batch " << i << " query " << id;
-      EXPECT_EQ(p->match_stats.makespan_ticks,
-                w->match_stats.makespan_ticks);
-      EXPECT_EQ(p->update_stats.makespan_ticks,
-                w->update_stats.makespan_ticks);
+  for (const char* name : {"multi", "gamma"}) {
+    SCOPED_TRACE(name);
+    auto serial = MakeEngine(name, g, opts);
+    auto pipelined = MakeEngine(name, g, opts);
+    for (const QueryGraph& q : {TestQuery(), PathQuery(), wedge}) {
+      ASSERT_EQ(serial->AddQuery(q), pipelined->AddQuery(q));
     }
+
+    std::vector<BatchReport> want;
+    for (const UpdateBatch& b : stream) {
+      want.push_back(serial->ProcessBatch(b));
+    }
+    StreamPipeline pipe(pipelined.get());
+    std::vector<BatchReport> got;
+    pipe.Run(stream, &got);
+
+    ASSERT_EQ(got.size(), want.size());
+    size_t matches = 0;
+    for (size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].queries.size(), 3u);
+      ASSERT_EQ(want[i].queries.size(), 3u);
+      for (size_t q = 0; q < 3; ++q) {
+        const QueryReport& p = got[i].queries[q];
+        const QueryReport& w = want[i].queries[q];
+        EXPECT_EQ(p.id, w.id);
+        // Bit-identical: exact vectors, not just canonicalized sets.
+        EXPECT_EQ(p.positive_matches, w.positive_matches)
+            << "batch " << i << " query " << q;
+        EXPECT_EQ(p.negative_matches, w.negative_matches)
+            << "batch " << i << " query " << q;
+        EXPECT_EQ(p.update_stats, w.update_stats);
+        EXPECT_EQ(p.match_stats, w.match_stats);
+        matches += w.TotalMatches();
+      }
+      EXPECT_EQ(got[i].update_stats, want[i].update_stats);
+      EXPECT_EQ(got[i].match_stats, want[i].match_stats);
+    }
+    EXPECT_GT(matches, 0u);
+    EXPECT_EQ(pipelined->host_graph(), serial->host_graph());
   }
 }
 
