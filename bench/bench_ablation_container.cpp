@@ -15,6 +15,7 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
+#include "gpma/gpma.hpp"
 #include "gpma/gpma_kernel.hpp"
 #include "gpma/rebuild_container.hpp"
 

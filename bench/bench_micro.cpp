@@ -141,9 +141,9 @@ void BM_EncoderDirtyUpdate(benchmark::State& state) {
 BENCHMARK(BM_EncoderDirtyUpdate);
 
 // The "gamma" engine's update phase as it reports it: one host mirror
-// of the canonical graph plus each query lane's label-count deltas
+// of the canonical graph plus each query's label-count deltas
 // (BatchReport::preprocess_host_seconds).  Host ns per op should grow
-// by a small per-lane delta from 1 to 8 queries, not by a mirror each.
+// by a small per-query delta from 1 to 8 queries, not by a mirror each.
 // The batch alternates with its inverse so the graph stays stationary;
 // matching runs but is not timed.
 void BM_GammaEngineUpdatePhase(benchmark::State& state) {

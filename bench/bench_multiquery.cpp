@@ -1,17 +1,18 @@
 /// System extension bench: multi-pattern registration.
 /// The paper evaluates per-query latency; production monitors register
 /// many patterns against one graph.  This bench measures the benefit of
-/// sharing the device graph and fusing all queries' seeds into one
-/// kernel launch versus running one full engine per query.
+/// fusing all queries' seeds into one kernel launch and charging the
+/// device-graph update once, versus a launch and an update charge per
+/// query.
 ///
-/// Both contenders sit behind the unified Engine interface: "multi"
-/// (shared GPMA, fused launches) and "gamma" (one device graph and
-/// launch per query) — the comparison is literally the same loop with a
-/// different registry name.
+/// Both contenders are the same device engine over one shared GPMA:
+/// "multi" (fused launches) and "gamma" (one launch per query) — the
+/// comparison is literally the same loop with a different registry
+/// name.
 ///
 /// Expected shape: fused launches amortize device occupancy — modeled
 /// makespan grows sub-linearly in the number of registered queries,
-/// while per-query engines pay a full launch each.
+/// while "gamma" pays a full launch per query.
 #include <cstdio>
 
 #include "bench_common.hpp"

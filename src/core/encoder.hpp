@@ -68,7 +68,7 @@ class CandidateEncoder {
   ///
   /// Precondition: `batch` was sanitized (`SanitizeBatch`) against the
   /// graph this encoder last saw, and has since been applied to `g` —
-  /// the order Gamma and MultiGamma use.  `g` is read only for the labels
+  /// the order the device engine uses.  `g` is read only for the labels
   /// of vertices added since.  A deletion that would take a count below
   /// zero (e.g. applying one deletion batch twice) fails a `GAMMA_CHECK`.
   void ApplyBatchDirty(const LabeledGraph& g, const UpdateBatch& batch);

@@ -1,10 +1,17 @@
 #include "core/engine.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cctype>
+#include <unordered_map>
 
 #include "baselines/csm_common.hpp"
-#include "core/multi_gamma.hpp"
+#include "core/encoder.hpp"
+#include "core/query_context.hpp"
+#include "core/wbm_kernel.hpp"
+#include "gpma/gpma.hpp"
+#include "gpma/gpma_kernel.hpp"
+#include "gpusim/device.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "replica/group.hpp"
@@ -265,19 +272,107 @@ void Engine::DeliverDirect(const BatchOptions& options, QueryReport* qr,
 
 namespace {
 
-// ----------------------------------------------------------- GammaEngine
+// ------------------------------------------------------------ SlotEngine
 
-/// "gamma": the paper's single-query system, one GammaLane (own GPMA +
-/// encoder + device) per registered query over one shared canonical
-/// host graph.  The update phase mirrors that graph once per batch and
-/// every lane's label-count deltas read it.  This is the un-shared
-/// device reference point the multi-query bench compares against.
-class GammaEngine final : public Engine {
+/// The query bookkeeping of every engine that keeps one slot of state
+/// per registered query: ids assigned monotonically and never reused,
+/// registration order, and the snapshot listing and restore.  An engine
+/// supplies MakeSlot (the query's state, built against the current
+/// graph) and SlotQuery (its pattern, for snapshots).
+template <typename Slot>
+class SlotEngine : public Engine {
  public:
-  GammaEngine(const LabeledGraph& g, const EngineOptions& options)
-      : options_(options.gamma), graph_(g) {}
+  QueryId AddQuery(const QueryGraph& q) final {
+    slots_.push_back(Entry{next_id_++, MakeSlot(q)});
+    return slots_.back().id;
+  }
 
-  const char* Name() const override { return "gamma"; }
+  bool RestoreQuery(const QueryGraph& q, QueryId id) final {
+    if (id < next_id_) return false;
+    next_id_ = id;
+    return AddQuery(q) == id;
+  }
+
+  bool RemoveQuery(QueryId id) final {
+    auto it = std::find_if(slots_.begin(), slots_.end(),
+                           [id](const Entry& e) { return e.id == id; });
+    if (it == slots_.end()) return false;
+    slots_.erase(it);
+    return true;
+  }
+
+  std::vector<QueryId> QueryIds() const final {
+    std::vector<QueryId> ids;
+    ids.reserve(slots_.size());
+    for (const Entry& e : slots_) ids.push_back(e.id);
+    return ids;
+  }
+
+  std::vector<RegisteredQuery> RegisteredQueries() const final {
+    std::vector<RegisteredQuery> out;
+    out.reserve(slots_.size());
+    for (const Entry& e : slots_) {
+      out.push_back(RegisteredQuery{e.id, SlotQuery(e.slot)});
+    }
+    return out;
+  }
+
+ protected:
+  struct Entry {
+    QueryId id;
+    Slot slot;
+  };
+
+  virtual Slot MakeSlot(const QueryGraph& q) = 0;
+  virtual const QueryGraph& SlotQuery(const Slot& slot) const = 0;
+
+  /// The slot of report->queries[i] (InitReport lists queries in
+  /// registration order, the order of slots_).
+  Slot& SlotFor(size_t i, const BatchReport& report) {
+    GAMMA_CHECK(report.queries[i].id == slots_[i].id);
+    return slots_[i].slot;
+  }
+
+  /// Live slots, in registration order.
+  std::vector<Entry> slots_;
+
+ private:
+  QueryId next_id_ = 0;
+};
+
+// ---------------------------------------------------------- DeviceEngine
+
+/// A device-engine query's own state: its matching orders and
+/// equivalent-edge groups, and its candidate encoding (§IV).
+struct DeviceSlot {
+  QueryContext qctx;
+  CandidateEncoder encoder;
+};
+
+/// "gamma" and "multi": the pipeline of Fig. 3 over one canonical host
+/// graph, one GPMA and one device, keeping per query only a DeviceSlot.
+/// `fused` is the one difference between the two names:
+///   - match phase: one WBM launch per query, run back to back
+///     ("gamma"), or every query's tasks in one launch under one result
+///     cap ("multi");
+///   - update charge: the batch's one GPMA update kernel is charged to
+///     the report once per query, as if each query ran its own pipeline
+///     ("gamma"), or once ("multi");
+///   - per-query preprocess: the host mirror plus that query's
+///     label-count deltas ("gamma"), or the batch total ("multi").
+class DeviceEngine final : public SlotEngine<DeviceSlot> {
+ public:
+  DeviceEngine(const LabeledGraph& g, const EngineOptions& options,
+               bool fused)
+      : options_(options.gamma),
+        fused_(fused),
+        graph_(g),
+        gpma_(options.gamma.gpma_segment_capacity),
+        device_(options.gamma.device) {
+    gpma_.BuildFrom(graph_);
+  }
+
+  const char* Name() const override { return fused_ ? "multi" : "gamma"; }
 
   EngineInfo Describe() const override {
     EngineInfo info;
@@ -288,209 +383,131 @@ class GammaEngine final : public Engine {
     return info;
   }
 
-  QueryId AddQuery(const QueryGraph& q) override {
-    Slot slot;
-    slot.id = next_id_++;
-    slot.lane = std::make_unique<GammaLane>(graph_, q, options_);
-    slots_.push_back(std::move(slot));
-    return slots_.back().id;
-  }
-
-  std::vector<RegisteredQuery> RegisteredQueries() const override {
-    std::vector<RegisteredQuery> out;
-    out.reserve(slots_.size());
-    for (const Slot& s : slots_) {
-      out.push_back(RegisteredQuery{s.id, s.lane->query_context().q});
-    }
-    return out;
-  }
-
-  bool RestoreQuery(const QueryGraph& q, QueryId id) override {
-    if (id < next_id_) return false;
-    next_id_ = id;
-    return AddQuery(q) == id;
-  }
-
-  bool RemoveQuery(QueryId id) override {
-    for (auto it = slots_.begin(); it != slots_.end(); ++it) {
-      if (it->id == id) {
-        slots_.erase(it);
-        return true;
-      }
-    }
-    return false;
-  }
-
-  std::vector<QueryId> QueryIds() const override {
-    std::vector<QueryId> ids;
-    ids.reserve(slots_.size());
-    for (const Slot& s : slots_) ids.push_back(s.id);
-    return ids;
-  }
-
   const LabeledGraph& host_graph() const override { return graph_; }
 
  protected:
+  DeviceSlot MakeSlot(const QueryGraph& q) override {
+    DeviceSlot slot{BuildQueryContext(q, options_.coalesced_search,
+                                      options_.aggressive_coalescing),
+                    CandidateEncoder(q)};
+    slot.encoder.BuildAll(graph_);
+    return slot;
+  }
+
+  const QueryGraph& SlotQuery(const DeviceSlot& slot) const override {
+    return slot.qctx.q;
+  }
+
   void RunMatchPhase(const UpdateBatch& batch, bool positive,
                      const BatchOptions& /*options*/,
                      BatchReport* report) override {
-    for (size_t i = 0; i < slots_.size(); ++i) {
-      Slot& s = slots_[i];
-      WbmResult r = s.lane->RunMatchPhase(batch, positive);
-      QueryReport* qr = &report->queries[i];  // InitReport order
-      GAMMA_CHECK(qr->id == s.id);
-      auto& dst = positive ? qr->positive_matches : qr->negative_matches;
-      dst.insert(dst.end(), std::make_move_iterator(r.matches.begin()),
-                 std::make_move_iterator(r.matches.end()));
-      qr->match_stats.MergeSequential(r.stats);
-      qr->timed_out = qr->timed_out || r.stats.timed_out;
-      qr->overflowed = qr->overflowed || r.overflowed;
-      // Separate launches run back to back on the one device.
-      report->match_stats.MergeSequential(r.stats);
+    // This polarity's seeds and the order map the dedup rule consults,
+    // shared by every query.
+    std::vector<SeedEdge> seeds;
+    std::unordered_map<Edge, uint32_t, EdgeHash> order;
+    for (const UpdateOp& op : batch) {
+      if (op.is_insert != positive) continue;
+      const uint32_t next = static_cast<uint32_t>(seeds.size());
+      seeds.push_back(SeedEdge{op.u, op.v, op.elabel, next});
+      order.emplace(Edge(op.u, op.v), next);
+    }
+    if (seeds.empty() || slots_.empty()) return;
+    const size_t per_launch = fused_ ? slots_.size() : 1;
+    for (size_t first = 0; first < slots_.size(); first += per_launch) {
+      Launch(first, std::min(first + per_launch, slots_.size()), seeds,
+             order, positive, report);
     }
   }
 
   void RunUpdatePhase(const UpdateBatch& batch,
                       const BatchOptions& /*options*/,
                       BatchReport* report) override {
-    // The one host mirror, before any lane: the label-count deltas read
-    // the post-batch graph.  It runs even with no queries registered.
+    // The one host mirror, before the deltas: they read the post-batch
+    // graph.  It runs even with no queries registered.
     Timer mirror;
     ApplyBatch(&graph_, batch);
     const double mirror_seconds = mirror.ElapsedSeconds();
-    report->preprocess_host_seconds += mirror_seconds;
+
+    // The one GPMA update.  Its pricing is a pure function of the plan,
+    // so one simulation stands for every charge.
+    const UpdatePlan plan = gpma_.ApplyBatch(batch);
+    const size_t charges = fused_ ? 1 : slots_.size();
+    DeviceStats update;
+    if (charges > 0) {
+      update = SimulateGpmaUpdate(device_, plan, options_.gpma);
+    }
+    for (size_t c = 0; c < charges; ++c) {
+      report->update_stats.MergeSequential(update);
+    }
+
+    std::vector<double> delta_seconds(slots_.size());
+    double total_seconds = mirror_seconds;
     for (size_t i = 0; i < slots_.size(); ++i) {
-      Slot& s = slots_[i];
-      LaneUpdate u = s.lane->ApplyUpdate(graph_, batch);
-      QueryReport* qr = &report->queries[i];  // InitReport order
-      GAMMA_CHECK(qr->id == s.id);
-      qr->update_stats = u.update_stats;
-      qr->timed_out = qr->timed_out || u.update_stats.timed_out;
-      qr->preprocess_host_seconds = mirror_seconds + u.delta_host_seconds;
-      report->update_stats.MergeSequential(u.update_stats);
-      report->preprocess_host_seconds += u.delta_host_seconds;
+      Timer delta;
+      SlotFor(i, *report).encoder.ApplyBatchDirty(graph_, batch);
+      delta_seconds[i] = delta.ElapsedSeconds();
+      total_seconds += delta_seconds[i];
+    }
+    report->preprocess_host_seconds += total_seconds;
+    for (size_t i = 0; i < slots_.size(); ++i) {
+      QueryReport& qr = report->queries[i];
+      qr.update_stats = update;
+      qr.timed_out = qr.timed_out || update.timed_out;
+      qr.preprocess_host_seconds =
+          fused_ ? total_seconds : mirror_seconds + delta_seconds[i];
     }
   }
 
  private:
-  struct Slot {
-    QueryId id = kInvalidQueryId;
-    std::unique_ptr<GammaLane> lane;
-  };
-
-  GammaOptions options_;
-  LabeledGraph graph_;  ///< canonical evolving host graph
-  std::vector<Slot> slots_;
-  QueryId next_id_ = 0;
-};
-
-}  // namespace
-
-// ------------------------------------------------------ MultiGammaEngine
-
-/// "multi": one shared device graph and encoder set, every query's
-/// seeds fused into each kernel launch (MultiGamma).
-class MultiGammaEngine final : public Engine {
- public:
-  MultiGammaEngine(const LabeledGraph& g, const EngineOptions& options)
-      : multi_(g, options.gamma) {}
-
-  const char* Name() const override { return "multi"; }
-
-  EngineInfo Describe() const override {
-    EngineInfo info;
-    info.canonical_spec = CanonicalSpecOrName();
-    info.clock = ClockDomain::kModeledDevice;
-    info.supports_snapshot = true;
-    info.tick_seconds = multi_.options_.device.TickSeconds();
-    return info;
-  }
-
-  QueryId AddQuery(const QueryGraph& q) override {
-    return static_cast<QueryId>(multi_.AddQuery(q));
-  }
-  bool RemoveQuery(QueryId id) override { return multi_.RemoveQuery(id); }
-
-  std::vector<RegisteredQuery> RegisteredQueries() const override {
-    std::vector<RegisteredQuery> out;
-    out.reserve(multi_.queries_.size());
-    for (const auto& pq : multi_.queries_) {
-      out.push_back(
-          RegisteredQuery{static_cast<QueryId>(pq.id), pq.qctx.q});
-    }
-    return out;
-  }
-
-  bool RestoreQuery(const QueryGraph& q, QueryId id) override {
-    if (id < multi_.next_query_id_) return false;
-    multi_.next_query_id_ = id;
-    return AddQuery(q) == id;
-  }
-
-  std::vector<QueryId> QueryIds() const override {
-    std::vector<QueryId> ids;
-    for (size_t id : multi_.QueryIds()) {
-      ids.push_back(static_cast<QueryId>(id));
-    }
-    return ids;
-  }
-
-  const LabeledGraph& host_graph() const override {
-    return multi_.host_graph();
-  }
-
-  MultiGamma& multi() { return multi_; }
-
- protected:
-  void RunMatchPhase(const UpdateBatch& batch, bool positive,
-                     const BatchOptions& /*options*/,
-                     BatchReport* report) override {
-    MultiBatchResult mbr;
-    mbr.per_query.resize(multi_.NumQueries());
-    multi_.RunMatchAll(batch, positive, &mbr);
-    std::vector<size_t> ids = multi_.QueryIds();
-    bool launch_counted = false;
-    for (size_t i = 0; i < ids.size(); ++i) {
-      BatchResult& src = mbr.per_query[i];
-      QueryReport* qr = &report->queries[i];  // InitReport order
-      GAMMA_CHECK(qr->id == static_cast<QueryId>(ids[i]));
-      auto& src_v = positive ? src.positive_matches : src.negative_matches;
-      auto& dst = positive ? qr->positive_matches : qr->negative_matches;
-      dst.insert(dst.end(), std::make_move_iterator(src_v.begin()),
-                 std::make_move_iterator(src_v.end()));
-      qr->match_stats.MergeSequential(src.match_stats);
-      qr->timed_out = qr->timed_out || src.match_stats.timed_out;
-      qr->overflowed = qr->overflowed || src.overflowed;
-      if (!launch_counted) {
-        // One fused launch shared by all queries: charge it once at the
-        // report level (every per_query record describes the same
-        // kernel).
-        report->match_stats.MergeSequential(src.match_stats);
-        launch_counted = true;
+  /// One WBM launch over the queries [first, last): each query's tasks
+  /// read its own context and encoding, all of them share one result
+  /// cap, and the launch's stats are charged to each of those queries
+  /// and once to the report.
+  void Launch(size_t first, size_t last, const std::vector<SeedEdge>& seeds,
+              const std::unordered_map<Edge, uint32_t, EdgeHash>& order,
+              bool positive, BatchReport* report) {
+    std::atomic<size_t> emitted{0};
+    std::atomic<bool> overflowed{false};
+    // Per query, its env (the tasks keep pointers into it) and one match
+    // slot per seed.
+    std::vector<WbmEnv> envs;
+    envs.reserve(last - first);
+    std::vector<std::vector<std::vector<MatchRecord>>> found(last - first);
+    std::vector<std::unique_ptr<WarpTask>> tasks;
+    for (size_t i = first; i < last; ++i) {
+      DeviceSlot& slot = SlotFor(i, *report);
+      WbmEnv& env = envs.emplace_back(
+          WbmEnv{&gpma_, &slot.qctx, &slot.encoder, &order, positive});
+      env.result_cap = options_.result_cap;
+      if (env.result_cap > 0) {
+        env.emitted = &emitted;
+        env.overflowed = &overflowed;
+      }
+      for (auto& t : MakeWbmTasks(env, seeds, &found[i - first])) {
+        tasks.push_back(std::move(t));
       }
     }
-  }
-
-  void RunUpdatePhase(const UpdateBatch& batch,
-                      const BatchOptions& /*options*/,
-                      BatchReport* report) override {
-    MultiBatchResult mbr;
-    mbr.per_query.resize(multi_.NumQueries());
-    multi_.RunUpdate(batch, &mbr);
-    report->update_stats = mbr.update_stats;
-    report->preprocess_host_seconds = mbr.preprocess_host_seconds;
-    for (QueryReport& qr : report->queries) {
-      qr.update_stats = mbr.update_stats;
-      qr.timed_out = qr.timed_out || mbr.update_stats.timed_out;
-      qr.preprocess_host_seconds = mbr.preprocess_host_seconds;
+    const DeviceStats stats = device_.Launch(std::move(tasks));
+    const bool over = overflowed.load(std::memory_order_relaxed);
+    for (size_t i = first; i < last; ++i) {
+      QueryReport& qr = report->queries[i];
+      auto& dst = positive ? qr.positive_matches : qr.negative_matches;
+      for (const auto& s : found[i - first]) {
+        dst.insert(dst.end(), s.begin(), s.end());
+      }
+      qr.match_stats.MergeSequential(stats);
+      qr.timed_out = qr.timed_out || stats.timed_out;
+      qr.overflowed = qr.overflowed || over;
     }
+    report->match_stats.MergeSequential(stats);
   }
 
- private:
-  MultiGamma multi_;
+  GammaOptions options_;
+  bool fused_;
+  LabeledGraph graph_;  ///< canonical evolving host graph
+  Gpma gpma_;           ///< the device graph, mirroring graph_
+  Device device_;
 };
-
-namespace {
 
 // ------------------------------------------------------------ CsmAdapter
 
@@ -498,7 +515,7 @@ namespace {
 /// CsmEngine instance per registered query, each processing the batch
 /// edge-at-a-time.  Matching is interleaved with updates in the CSM
 /// chassis, so everything happens in RunUpdatePhase.
-class CsmAdapter final : public Engine {
+class CsmAdapter final : public SlotEngine<std::unique_ptr<CsmEngine>> {
  public:
   CsmAdapter(const char* registry_name, std::string csm_key,
              const LabeledGraph& g, const EngineOptions& options)
@@ -518,50 +535,20 @@ class CsmAdapter final : public Engine {
     return info;
   }
 
-  QueryId AddQuery(const QueryGraph& q) override {
-    Slot slot;
-    slot.id = next_id_++;
-    slot.engine = MakeCsmEngine(csm_key_, graph_, q);
-    slot.engine->set_result_cap(result_cap_);
-    slots_.push_back(std::move(slot));
-    return slots_.back().id;
-  }
-
-  std::vector<RegisteredQuery> RegisteredQueries() const override {
-    std::vector<RegisteredQuery> out;
-    out.reserve(slots_.size());
-    for (const Slot& s : slots_) {
-      out.push_back(RegisteredQuery{s.id, s.engine->query()});
-    }
-    return out;
-  }
-
-  bool RestoreQuery(const QueryGraph& q, QueryId id) override {
-    if (id < next_id_) return false;
-    next_id_ = id;
-    return AddQuery(q) == id;
-  }
-
-  bool RemoveQuery(QueryId id) override {
-    for (auto it = slots_.begin(); it != slots_.end(); ++it) {
-      if (it->id == id) {
-        slots_.erase(it);
-        return true;
-      }
-    }
-    return false;
-  }
-
-  std::vector<QueryId> QueryIds() const override {
-    std::vector<QueryId> ids;
-    ids.reserve(slots_.size());
-    for (const Slot& s : slots_) ids.push_back(s.id);
-    return ids;
-  }
-
   const LabeledGraph& host_graph() const override { return graph_; }
 
  protected:
+  std::unique_ptr<CsmEngine> MakeSlot(const QueryGraph& q) override {
+    std::unique_ptr<CsmEngine> engine = MakeCsmEngine(csm_key_, graph_, q);
+    engine->set_result_cap(result_cap_);
+    return engine;
+  }
+
+  const QueryGraph& SlotQuery(
+      const std::unique_ptr<CsmEngine>& engine) const override {
+    return engine->query();
+  }
+
   void RunMatchPhase(const UpdateBatch&, bool, const BatchOptions&,
                      BatchReport*) override {}
 
@@ -571,14 +558,13 @@ class CsmAdapter final : public Engine {
     double budget = options.budget_seconds > 0 ? options.budget_seconds
                                                : default_budget_;
     for (size_t i = 0; i < slots_.size(); ++i) {
-      Slot& s = slots_[i];
-      QueryReport* qr = &report->queries[i];  // InitReport order
-      GAMMA_CHECK(qr->id == s.id);
+      CsmEngine& engine = *SlotFor(i, *report);
+      QueryReport* qr = &report->queries[i];
       Timer t;
-      std::vector<MatchRecord> raw = s.engine->ProcessBatch(batch, budget);
+      std::vector<MatchRecord> raw = engine.ProcessBatch(batch, budget);
       qr->host_wall_seconds = t.ElapsedSeconds();
-      qr->timed_out = qr->timed_out || s.engine->timed_out();
-      qr->overflowed = qr->overflowed || s.engine->overflowed();
+      qr->timed_out = qr->timed_out || engine.timed_out();
+      qr->overflowed = qr->overflowed || engine.overflowed();
       // The chassis interleaves positives and negatives edge by edge;
       // deliver in that order so order-sensitive sinks (delta views)
       // see the same sequence the engine produced.
@@ -590,18 +576,11 @@ class CsmAdapter final : public Engine {
   }
 
  private:
-  struct Slot {
-    QueryId id = kInvalidQueryId;
-    std::unique_ptr<CsmEngine> engine;
-  };
-
   const char* name_;
   std::string csm_key_;  ///< MakeCsmEngine key ("TF", "SYM", ...)
   LabeledGraph graph_;   ///< canonical evolving host graph
   size_t result_cap_;
   double default_budget_;
-  std::vector<Slot> slots_;
-  QueryId next_id_ = 0;
 };
 
 std::string Canonical(const std::string& name) {
@@ -701,13 +680,13 @@ EngineRegistry::EngineRegistry() {
   gamma_def.example = "gamma(result_cap=100000)";
   gamma_def.factory = [](const EngineSpec&, const LabeledGraph& g,
                          const EngineOptions& o) {
-    return std::unique_ptr<Engine>(new GammaEngine(g, o));
+    return std::unique_ptr<Engine>(new DeviceEngine(g, o, /*fused=*/false));
   };
   EngineDef multi_def = gamma_def;
   multi_def.example = "multi(budget=1.0)";
   multi_def.factory = [](const EngineSpec&, const LabeledGraph& g,
                          const EngineOptions& o) {
-    return std::unique_ptr<Engine>(new MultiGammaEngine(g, o));
+    return std::unique_ptr<Engine>(new DeviceEngine(g, o, /*fused=*/true));
   };
   Register("gamma", std::move(gamma_def));
   Register("multi", std::move(multi_def));

@@ -1,9 +1,9 @@
 /// \file engine.hpp
 /// The unified engine layer: every matching system in this repository —
-/// GAMMA (one device graph per query), MultiGamma (one shared device
-/// graph, fused launches) and the five sequential CSM baselines
-/// (TurboFlux, SymBi, RapidFlow, CaLiG, Graphflow) — behind one
-/// interface, so benches, examples and serving code select an engine by
+/// the GAMMA device engine ("gamma": one launch per query; "multi": all
+/// queries fused into each launch; both over one shared device graph)
+/// and the five sequential CSM baselines (TurboFlux, SymBi, RapidFlow,
+/// CaLiG, Graphflow) — behind one interface, so benches, examples and serving code select an engine by
 /// name instead of by code path.
 ///
 /// The interface is the paper's problem statement made operational:
@@ -114,9 +114,8 @@ struct BatchOptions {
 };
 
 /// One query's share of a batch: matches (or just counts when not
-/// materializing) plus the unified timing/truncation story that was
-/// previously split across BatchResult::TimedOut(),
-/// CsmEngine::timed_out() and BatchResult::overflowed.
+/// materializing) plus one timing/truncation story for every engine
+/// (device budgets and result caps, CsmEngine::timed_out()).
 struct QueryReport {
   QueryId id = kInvalidQueryId;
 
@@ -130,9 +129,10 @@ struct QueryReport {
 
   DeviceStats update_stats;  ///< zero for CPU engines
   DeviceStats match_stats;   ///< zero for CPU engines
-  /// Host preprocess behind this query (device engines): the batch's
-  /// one host-graph mirror plus this query's label-count deltas.
-  /// `multi` times its deltas together and reports the batch total.
+  /// Host preprocess behind this query (device engines).  `gamma`: the
+  /// batch's one host-graph mirror plus this query's label-count
+  /// deltas.  `multi`: the batch total, the mirror plus every query's
+  /// deltas (the same value as BatchReport::preprocess_host_seconds).
   double preprocess_host_seconds = 0.0;
   double host_wall_seconds = 0.0;  ///< this query's host time share
 
@@ -160,8 +160,8 @@ struct BatchReport {
   /// One entry per live query, in registration order.
   std::vector<QueryReport> queries;
 
-  /// Aggregate device stats: the graph-update kernel (charged once for
-  /// shared-graph engines) and the matching launches.
+  /// Aggregate device stats: the graph-update kernel (charged once per
+  /// query by `gamma`, once by `multi`) and the matching launches.
   DeviceStats update_stats;
   DeviceStats match_stats;
   /// Host preprocess of the update phase (device engines): one
@@ -280,10 +280,11 @@ struct EngineInfo {
   double tick_seconds = 0.0;
 };
 
-/// The unified engine interface.  Implementations: GammaEngine (one
-/// Gamma instance per query), MultiGammaEngine (shared device graph,
-/// fused launches), CsmAdapter (each CSM baseline).  Construct through
-/// MakeEngine()/EngineRegistry.
+/// The unified engine interface.  Implementations: the device engine
+/// behind "gamma" and "multi" (one host graph, one GPMA and one device;
+/// per query only its matching orders and candidate encoding), the
+/// CsmAdapter behind each CSM baseline, and the serving and replica
+/// wrappers.  Construct through MakeEngine()/EngineRegistry.
 class Engine {
  public:
   virtual ~Engine() = default;
@@ -535,9 +536,10 @@ struct EngineDef {
 };
 
 /// Spec-tree-keyed engine factory.  Built-in names (case-insensitive):
-///   "gamma"              one device graph + kernel pipeline per query,
-///                        one host graph mirrored once per batch
-///   "multi"              shared device graph, fused multi-query launches
+///   "gamma"              one host graph, GPMA and device; one WBM
+///                        launch per query
+///   "multi"              the same engine with every query fused into
+///                        each launch
 ///   "tf" | "turboflux"   TurboFlux-lite   (CPU baseline)
 ///   "sym" | "symbi"      SymBi-lite       (CPU baseline)
 ///   "rf" | "rapidflow"   RapidFlow-lite   (CPU baseline)

@@ -27,13 +27,6 @@ void MatchStore::ApplyDelta(const MatchRecord& m) {
   }
 }
 
-void MatchStore::Apply(const BatchResult& result) {
-  // Negatives first: a batch may retract a match and (through other
-  // edges) create a structurally identical one.
-  for (const MatchRecord& m : result.negative_matches) ApplyDelta(m);
-  for (const MatchRecord& m : result.positive_matches) ApplyDelta(m);
-}
-
 bool MatchStore::Contains(const MatchRecord& m) const {
   return live_.count(KeyOf(m)) > 0;
 }

@@ -12,17 +12,17 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/gamma.hpp"
 #include "core/match.hpp"
 
 namespace bdsm {
 
 class MatchStore {
  public:
-  /// Applies one batch's deltas.  Positive matches are inserted,
-  /// negative matches removed; double-insert/missing-remove abort
-  /// (GAMMA guarantees exactly-once deltas, so either is a caller bug).
-  void Apply(const BatchResult& result);
+  /// Applies one delta: a positive match is inserted, a negative one
+  /// removed; double-insert/missing-remove abort (GAMMA guarantees
+  /// exactly-once deltas, so either is a caller bug).  Apply a batch's
+  /// negatives before its positives: a batch may retract a match and
+  /// (through other edges) create a structurally identical one.
   void ApplyDelta(const MatchRecord& m);
 
   size_t LiveCount() const { return live_.size(); }

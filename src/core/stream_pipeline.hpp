@@ -6,8 +6,8 @@
 /// (sanitization, seed extraction) so the kernel never waits on host
 /// bookkeeping.  This module implements that overlap for a stream
 /// ∆B = (∆B1, ∆B2, ...) over ANY engine behind the unified Engine
-/// interface (core/engine.hpp) — single-query GAMMA, fused multi-query
-/// MultiGamma, or a CPU baseline:
+/// interface (core/engine.hpp) — the GAMMA device engine ("gamma" or
+/// its fused form "multi") or a CPU baseline:
 ///
 ///   for each batch i:
 ///     [host]   take the prepared batch (from the background worker)
@@ -19,7 +19,7 @@
 /// Preparation only reads the host graph, which is final for the round
 /// once the update phase returns, so the overlap is race-free.  Results
 /// are bit-identical to calling Engine::ProcessBatch per batch (tested,
-/// including over MultiGamma).  Engines that cannot split their
+/// including over "multi").  Engines that cannot split their
 /// processing (the sequential CSM chassis) do all work in the update
 /// phase; the pipeline stays correct, it just hides nothing.
 #pragma once

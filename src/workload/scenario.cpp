@@ -190,11 +190,11 @@ const std::vector<ScenarioSpec>& AllScenarios() {
         DatasetId::kLiveJournal, StreamKind::kHotspot, 8, 200, 4, 5,
         true));
 
-    // Many small heterogeneous queries: the MultiGamma-sharing /
-    // ShardedEngine-placement stressor.
+    // Many small heterogeneous queries: the stressor of "multi"'s fused
+    // launches and of ShardedEngine placement.
     v.push_back(MakeSpec(
         "multishare",
-        "12 mixed-class queries on GH (MultiGamma/sharding stressor)",
+        "12 mixed-class queries on GH (multi/sharding stressor)",
         DatasetId::kGithub, StreamKind::kUniform, 6, 150, 12, 4, true));
 
     // ---- multi-tenant scenarios (serve/tenant_front_door.hpp) ----

@@ -85,8 +85,8 @@ struct ScenarioSpec {
   // by seeded random walks (graph/query_extractor.hpp).
   size_t num_queries = 4;
   size_t query_size = 5;  ///< |V(Q)|
-  /// Rotate Sparse/Tree/Dense across the set (stresses MultiGamma's
-  /// cross-query sharing and ShardedEngine placement with heterogeneous
+  /// Rotate Sparse/Tree/Dense across the set (stresses "multi"'s
+  /// cross-query launch fusion and ShardedEngine placement with heterogeneous
   /// per-query cost); when false, all queries use `query_class`.
   bool mixed_classes = true;
   QueryGraph::StructureClass query_class =

@@ -8,9 +8,9 @@
 
 #include "baselines/csm_common.hpp"
 #include "baselines/enumerate.hpp"
-#include "core/gamma.hpp"
 #include "graph/graph_generator.hpp"
 #include "graph/update_stream.hpp"
+#include "single_query.hpp"
 
 namespace bdsm {
 namespace {
@@ -119,8 +119,7 @@ TEST(CsmEngineTest, AgreesWithGamma) {
 
   GammaOptions opts;
   opts.device.num_sms = 2;
-  Gamma gamma(g, q, opts);
-  BatchResult res = gamma.ProcessBatch(batch);
+  QueryReport res = RunGammaBatch(g, q, opts, batch);
   std::vector<std::string> gamma_keys;
   for (const auto& m : res.positive_matches) gamma_keys.push_back(m.Key());
   for (const auto& m : res.negative_matches) gamma_keys.push_back(m.Key());

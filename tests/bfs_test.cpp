@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/bfs_kernel.hpp"
-#include "core/gamma.hpp"
+#include "core/wbm_kernel.hpp"
 #include "graph/graph_generator.hpp"
 #include "graph/update_stream.hpp"
 

@@ -417,73 +417,5 @@ TEST(EngineReportTest, EmptyEngineStillAdvancesGraph) {
   }
 }
 
-// The "gamma" engine is one canonical host graph plus one lane per
-// query; a standalone Gamma is one graph plus one lane.  Per query the
-// two must agree exactly (match vectors in order, both DeviceStats)
-// over churn and growth, through a late AddQuery and a mid-stream
-// RemoveQuery.
-TEST(GammaLaneParityTest, EngineEqualsStandaloneFacades) {
-  QueryGraph square({0, 1, 0, 1});
-  square.AddEdge(0, 1);
-  square.AddEdge(1, 2);
-  square.AddEdge(2, 3);
-  square.AddEdge(3, 0);
-  QueryGraph wedge({1, 0, 1});
-  wedge.AddEdge(0, 1);
-  wedge.AddEdge(1, 2);
-
-  for (const bool churn : {true, false}) {
-    SCOPED_TRACE(churn ? "churn" : "growth");
-    LabeledGraph g = GenerateUniformGraph(150, 500, 3, 1, churn ? 81 : 82);
-    EngineOptions opts;
-    opts.gamma.device.num_sms = 2;
-    auto engine = MakeEngine("gamma", g, opts);
-
-    struct Tracked {
-      QueryId id;
-      std::unique_ptr<Gamma> facade;
-    };
-    std::vector<Tracked> tracked;
-    for (const QueryGraph& q : {TriangleQuery(), PathQuery(), square}) {
-      tracked.push_back(
-          {engine->AddQuery(q), std::make_unique<Gamma>(g, q, opts.gamma)});
-    }
-
-    UpdateStreamGenerator gen(churn ? 83 : 84);
-    size_t matches = 0;
-    for (size_t b = 0; b < 32; ++b) {
-      SCOPED_TRACE("batch " + std::to_string(b));
-      if (b == 10) {
-        // Built from the engine's current graph, like a fresh facade.
-        tracked.push_back(
-            {engine->AddQuery(wedge),
-             std::make_unique<Gamma>(engine->host_graph(), wedge,
-                                     opts.gamma)});
-      }
-      if (b == 20) {
-        ASSERT_TRUE(engine->RemoveQuery(tracked[1].id));
-        tracked.erase(tracked.begin() + 1);
-      }
-      const LabeledGraph& cur = engine->host_graph();
-      const UpdateBatch raw = churn ? gen.MakeMixed(cur, 40, 1, 2, 0)
-                                    : gen.MakeInsertions(cur, 30, 0);
-      BatchReport report = engine->ProcessBatch(raw);
-      ASSERT_EQ(report.queries.size(), tracked.size());
-      for (Tracked& t : tracked) {
-        BatchResult want = t.facade->ProcessBatch(raw);
-        const QueryReport* got = report.Find(t.id);
-        ASSERT_NE(got, nullptr);
-        EXPECT_EQ(got->positive_matches, want.positive_matches);
-        EXPECT_EQ(got->negative_matches, want.negative_matches);
-        EXPECT_EQ(got->update_stats, want.update_stats);
-        EXPECT_EQ(got->match_stats, want.match_stats);
-        EXPECT_EQ(t.facade->host_graph(), engine->host_graph());
-        matches += want.TotalMatches();
-      }
-    }
-    EXPECT_GT(matches, 0u);
-  }
-}
-
 }  // namespace
 }  // namespace bdsm

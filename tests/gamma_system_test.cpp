@@ -6,11 +6,11 @@
 #include <set>
 
 #include "baselines/enumerate.hpp"
-#include "core/gamma.hpp"
 #include "graph/datasets.hpp"
 #include "graph/graph_generator.hpp"
 #include "graph/query_extractor.hpp"
 #include "graph/update_stream.hpp"
+#include "single_query.hpp"
 
 namespace bdsm {
 namespace {
@@ -27,9 +27,8 @@ TEST(GammaSystemTest, AllDatasetTwinsSmoke) {
         g, 50, spec.edge_labels > 1 ? spec.edge_labels : 0);
     GammaOptions opts;
     opts.device.host_budget_seconds = 5.0;
-    Gamma gamma(g, *q, opts);
-    BatchResult res = gamma.ProcessBatch(batch);
-    EXPECT_FALSE(res.TimedOut()) << spec.short_name;
+    QueryReport res = RunGammaBatch(g, *q, opts, batch);
+    EXPECT_FALSE(res.Truncated()) << spec.short_name;
     EXPECT_GT(res.match_stats.makespan_ticks, 0u) << spec.short_name;
   }
 }
@@ -50,10 +49,9 @@ TEST(GammaSystemTest, ResultCapMarksUnsolved) {
   tri.AddEdge(0, 2);
   GammaOptions opts;
   opts.result_cap = 1000;
-  Gamma gamma(g, tri, opts);
-  BatchResult res = gamma.ProcessBatch(batch);
+  QueryReport res = RunGammaBatch(g, tri, opts, batch);
   EXPECT_TRUE(res.overflowed);
-  EXPECT_TRUE(res.TimedOut());
+  EXPECT_TRUE(res.Truncated());
   EXPECT_LE(res.TotalMatches(), 1200u);  // cap plus in-flight slack
 }
 
@@ -73,9 +71,8 @@ TEST(GammaSystemTest, HostBudgetMarksUnsolved) {
   GammaOptions opts;
   opts.result_cap = 0;  // unlimited: force the *time* budget to trip
   opts.device.host_budget_seconds = 0.02;
-  Gamma gamma(g, q, opts);
-  BatchResult res = gamma.ProcessBatch(batch);
-  EXPECT_TRUE(res.TimedOut());
+  QueryReport res = RunGammaBatch(g, q, opts, batch);
+  EXPECT_TRUE(res.Truncated());
 }
 
 TEST(GammaSystemTest, UtilizationWithinBounds) {
@@ -87,8 +84,7 @@ TEST(GammaSystemTest, UtilizationWithinBounds) {
   UpdateBatch batch = gen.MakeInsertions(g, 100, 0);
   GammaOptions opts;
   opts.device.num_sms = 8;
-  Gamma gamma(g, *q, opts);
-  BatchResult res = gamma.ProcessBatch(batch);
+  QueryReport res = RunGammaBatch(g, *q, opts, batch);
   double util = res.match_stats.Utilization();
   EXPECT_GE(util, 0.0);
   EXPECT_LE(util, 1.0);
@@ -108,9 +104,8 @@ TEST(GammaSystemTest, StealEventsOnlyWithStealing) {
   none.device.steal_policy = StealPolicy::kNone;
   active.device.steal_policy = StealPolicy::kActive;
   none.device.num_sms = active.device.num_sms = 4;
-  Gamma g1(g, *q, none), g2(g, *q, active);
-  BatchResult r1 = g1.ProcessBatch(batch);
-  BatchResult r2 = g2.ProcessBatch(batch);
+  QueryReport r1 = RunGammaBatch(g, *q, none, batch);
+  QueryReport r2 = RunGammaBatch(g, *q, active, batch);
   EXPECT_EQ(r1.match_stats.steal_events, 0u);
   EXPECT_EQ(r1.TotalMatches(), r2.TotalMatches());
 }
@@ -158,8 +153,7 @@ TEST_P(GammaMatrixTest, CountsMatchOracleOnTwins) {
   opts.coalesced_search = cs;
   opts.aggressive_coalescing = aggressive;
   opts.device.num_sms = 4;
-  Gamma gamma(g, *q, opts);
-  BatchResult res = gamma.ProcessBatch(batch);
+  QueryReport res = RunGammaBatch(g, *q, opts, batch);
   EXPECT_EQ(res.positive_matches.size(), want_pos) << spec.short_name;
   EXPECT_EQ(res.negative_matches.size(), want_neg) << spec.short_name;
 }

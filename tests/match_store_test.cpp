@@ -6,6 +6,7 @@
 #include <set>
 
 #include "baselines/enumerate.hpp"
+#include "core/engine.hpp"
 #include "core/match_store.hpp"
 #include "graph/graph_generator.hpp"
 #include "graph/update_stream.hpp"
@@ -62,9 +63,10 @@ TEST(MatchStoreTest, TracksTruthAcrossStream) {
   q.AddEdge(0, 1);
   q.AddEdge(1, 2);
 
-  GammaOptions opts;
-  opts.device.num_sms = 2;
-  Gamma gamma(g, q, opts);
+  EngineOptions opts;
+  opts.gamma.device.num_sms = 2;
+  auto gamma = MakeEngine("gamma", g, opts);
+  const QueryId id = gamma->AddQuery(q);
   MatchStore store;
   // Seed the store with the initial matches.
   for (const MatchRecord& m : EnumerateAllMatches(g, q)) {
@@ -76,12 +78,16 @@ TEST(MatchStoreTest, TracksTruthAcrossStream) {
   UpdateStreamGenerator gen(72);
   for (int round = 0; round < 5; ++round) {
     UpdateBatch batch = SanitizeBatch(
-        gamma.host_graph(), gen.MakeMixed(gamma.host_graph(), 30, 2, 1, 0));
-    BatchResult res = gamma.ProcessBatch(batch);
-    store.Apply(res);
+        gamma->host_graph(), gen.MakeMixed(gamma->host_graph(), 30, 2, 1, 0));
+    BatchReport report = gamma->ProcessBatch(batch);
+    // Negatives first: a batch may retract a match and (through other
+    // edges) create a structurally identical one.
+    const QueryReport& res = *report.Find(id);
+    for (const MatchRecord& m : res.negative_matches) store.ApplyDelta(m);
+    for (const MatchRecord& m : res.positive_matches) store.ApplyDelta(m);
 
     // Ground truth on the evolved graph.
-    auto truth = EnumerateAllMatches(gamma.host_graph(), q);
+    auto truth = EnumerateAllMatches(gamma->host_graph(), q);
     ASSERT_EQ(store.LiveCount(), truth.size()) << "round " << round;
     std::set<std::string> live_keys;
     for (const MatchRecord& m : store.Snapshot()) {

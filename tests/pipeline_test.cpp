@@ -87,8 +87,8 @@ TEST(StreamPipelineTest, MatchesSerialProcessing) {
 // per-batch ProcessBatch — same match vectors in the same order, same
 // stats.  The stream is raw, so the async preparation really sanitizes
 // against the engine's host graph while the positive phase runs: the
-// one graph MultiGamma shares, or the canonical graph every "gamma"
-// lane reads.  Under TSan this also checks that overlap is race-free.
+// one canonical graph every query's deltas read, in "gamma" and "multi"
+// alike.  Under TSan this also checks that overlap is race-free.
 TEST(StreamPipelineTest, OverDeviceEnginesBitIdenticalToPerBatch) {
   LabeledGraph g = GenerateUniformGraph(150, 500, 3, 1, 71);
   LabeledGraph evolving = g;

@@ -3,12 +3,12 @@
 /// extraction size x class grids, and steal-policy x capacity matrices.
 #include <gtest/gtest.h>
 
-#include "core/gamma.hpp"
 #include "gpma/gpma.hpp"
 #include "graph/datasets.hpp"
 #include "graph/graph_generator.hpp"
 #include "graph/query_extractor.hpp"
 #include "graph/update_stream.hpp"
+#include "single_query.hpp"
 
 namespace bdsm {
 namespace {
@@ -62,15 +62,12 @@ TEST_P(DeviceGeometrySweep, GeometryNeverChangesResults) {
   UpdateStreamGenerator gen(56);
   UpdateBatch batch = SanitizeBatch(g, gen.MakeMixed(g, 30, 2, 1, 0));
 
-  GammaOptions ref;  // default geometry
-  Gamma reference(g, q, ref);
-  auto want = reference.ProcessBatch(batch);
+  QueryReport want = RunGammaBatch(g, q, GammaOptions{}, batch);
 
   GammaOptions opts;
   opts.device.num_sms = sms;
   opts.device.warps_per_block = warps;
-  Gamma gamma(g, q, opts);
-  auto got = gamma.ProcessBatch(batch);
+  QueryReport got = RunGammaBatch(g, q, opts, batch);
   EXPECT_EQ(CanonicalKeys(got.positive_matches),
             CanonicalKeys(want.positive_matches));
   EXPECT_EQ(CanonicalKeys(got.negative_matches),

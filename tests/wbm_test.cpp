@@ -1,4 +1,4 @@
-/// WBM kernel + Gamma pipeline correctness: differential testing against
+/// WBM kernel + "gamma" engine correctness: differential testing against
 /// the from-scratch oracle (matches(G') \ matches(G) and the reverse),
 /// the paper's Fig. 1 running example, dedup across batch updates,
 /// work-stealing result invariance, and coalesced-search equivalence.
@@ -7,11 +7,12 @@
 #include <set>
 
 #include "baselines/enumerate.hpp"
-#include "core/gamma.hpp"
+#include "core/query_context.hpp"
 #include "graph/datasets.hpp"
 #include "graph/graph_generator.hpp"
 #include "graph/query_extractor.hpp"
 #include "graph/update_stream.hpp"
+#include "single_query.hpp"
 
 namespace bdsm {
 namespace {
@@ -59,8 +60,7 @@ void ExpectMatchesOracle(const LabeledGraph& before,
                          const char* context) {
   UpdateBatch clean = SanitizeBatch(before, batch);
   OracleDelta oracle = OracleIncremental(before, clean, q);
-  Gamma gamma(before, q, opts);
-  BatchResult res = gamma.ProcessBatch(clean);
+  QueryReport res = RunGammaBatch(before, q, opts, clean);
   EXPECT_EQ(CanonicalKeys(res.positive_matches), oracle.positive)
       << context;
   EXPECT_EQ(CanonicalKeys(res.negative_matches), oracle.negative)
@@ -110,8 +110,8 @@ TEST(WbmTest, PaperFigure1Example) {
 
   // Cross-check the headline number: the paper's BDSM column shows 4
   // positive matches for this batch.
-  Gamma gamma(g, q, SmallDevice());
-  BatchResult res = gamma.ProcessBatch(SanitizeBatch(g, batch));
+  QueryReport res =
+      RunGammaBatch(g, q, SmallDevice(), SanitizeBatch(g, batch));
   EXPECT_EQ(res.positive_matches.size(), 4u);
 }
 
@@ -185,8 +185,7 @@ TEST(WbmTest, NoDuplicateMatchesAcrossBatch) {
   q.AddEdge(0, 1);
   q.AddEdge(1, 2);
   q.AddEdge(0, 2);
-  Gamma gamma(g, q, SmallDevice());
-  BatchResult res = gamma.ProcessBatch(batch);
+  QueryReport res = RunGammaBatch(g, q, SmallDevice(), batch);
   auto keys = CanonicalKeys(res.positive_matches);
   std::set<std::string> uniq(keys.begin(), keys.end());
   EXPECT_EQ(uniq.size(), keys.size()) << "duplicate incremental matches";
@@ -208,8 +207,7 @@ TEST(WbmTest, StealingPoliciesAgreeOnResults) {
        {StealPolicy::kNone, StealPolicy::kPassive, StealPolicy::kActive}) {
     GammaOptions opts = SmallDevice();
     opts.device.steal_policy = p;
-    Gamma gamma(g, *qopt, opts);
-    BatchResult res = gamma.ProcessBatch(batch);
+    QueryReport res = RunGammaBatch(g, *qopt, opts, batch);
     all_keys.push_back(CanonicalKeys(res.positive_matches));
   }
   EXPECT_EQ(all_keys[0], all_keys[1]);
@@ -231,12 +229,14 @@ TEST(WbmTest, CoalescedSearchEquivalence) {
   on.coalesced_search = true;
   on.aggressive_coalescing = true;
   off.coalesced_search = false;
-  Gamma a(g, q, on), b(g, q, off);
-  BatchResult ra = a.ProcessBatch(batch);
-  BatchResult rb = b.ProcessBatch(batch);
+  QueryReport ra = RunGammaBatch(g, q, on, batch);
+  QueryReport rb = RunGammaBatch(g, q, off, batch);
   EXPECT_EQ(CanonicalKeys(ra.positive_matches),
             CanonicalKeys(rb.positive_matches));
-  EXPECT_GT(a.query_context().coalesced_pairs, 0u);
+  // The engine builds its query context the same way.
+  EXPECT_GT(BuildQueryContext(q, on.coalesced_search, on.aggressive_coalescing)
+                .coalesced_pairs,
+            0u);
 }
 
 TEST(WbmTest, SequentialBatchesStayConsistent) {
@@ -247,12 +247,16 @@ TEST(WbmTest, SequentialBatchesStayConsistent) {
   q.AddEdge(0, 1);
   q.AddEdge(1, 2);
   q.AddEdge(0, 2);
-  Gamma gamma(g, q, SmallDevice());
+  EngineOptions options;
+  options.gamma = SmallDevice();
+  auto engine = MakeEngine("gamma", g, options);
+  const QueryId id = engine->AddQuery(q);
   UpdateStreamGenerator gen(34);
   for (int round = 0; round < 5; ++round) {
     UpdateBatch batch = SanitizeBatch(g, gen.MakeMixed(g, 30, 2, 1, 0));
     OracleDelta oracle = OracleIncremental(g, batch, q);
-    BatchResult res = gamma.ProcessBatch(batch);
+    BatchReport report = engine->ProcessBatch(batch);
+    const QueryReport& res = *report.Find(id);
     EXPECT_EQ(CanonicalKeys(res.positive_matches), oracle.positive)
         << "round " << round;
     EXPECT_EQ(CanonicalKeys(res.negative_matches), oracle.negative)
@@ -265,8 +269,7 @@ TEST(WbmTest, EmptyBatchYieldsNothing) {
   LabeledGraph g = GenerateUniformGraph(50, 150, 2, 1, 44);
   QueryGraph q({0, 1});
   q.AddEdge(0, 1);
-  Gamma gamma(g, q, SmallDevice());
-  BatchResult res = gamma.ProcessBatch({});
+  QueryReport res = RunGammaBatch(g, q, SmallDevice(), {});
   EXPECT_TRUE(res.positive_matches.empty());
   EXPECT_TRUE(res.negative_matches.empty());
 }
