@@ -40,9 +40,8 @@
 /// Defaults: --scenario smoke, --engine gamma, --seed 2024
 /// (workload::kDefaultScenarioSeed).  Engines may be any registry spec
 /// per the canonical grammar of docs/ENGINES.md, e.g.
-/// "sharded(gamma, shards=4)" or "gamma(result_cap=100000)" (the
-/// legacy "sharded:gamma@4" sugar still parses); every spec is
-/// validated before the first run starts.  --record freezes the
+/// "sharded(gamma, shards=4)" or "gamma(result_cap=100000)"; every
+/// spec is validated before the first run starts.  --record freezes the
 /// generated stream as a trace artifact; --replay substitutes a
 /// recorded trace for the generated stream.
 ///
@@ -771,8 +770,7 @@ int main(int argc, char** argv) {
     if (!checkpoint_dir.empty()) {
       persist::CheckpointPolicy policy;
       policy.every_batches = checkpoint_every;
-      checkpointer.emplace(checkpoint_dir, policy, persist::WalOptions{},
-                           options.gamma.device);
+      checkpointer.emplace(checkpoint_dir, policy);
       printf("  checkpointing into %s (snapshot every %zu batches)\n",
              checkpoint_dir.c_str(), checkpoint_every);
     }

@@ -23,9 +23,9 @@
 /// SPEC is any engine spec per the canonical grammar of
 /// docs/ENGINES.md: a plain name ("gamma" (default), "multi", "tf",
 /// ...), a spec with inline options ("gamma(result_cap=100000)"), or a
-/// composed wrapper ("sharded(gamma, shards=4)"; the legacy
-/// "sharded:gamma@4" sugar still parses).  --shards N wraps the chosen
-/// engine in the sharded serving layer (serve/sharded_engine.hpp),
+/// composed wrapper ("sharded(gamma, shards=4)").  --shards N wraps
+/// the chosen engine in the sharded serving layer
+/// (serve/sharded_engine.hpp),
 /// equivalent to writing the sharded(...) spec yourself.  --scenario
 /// runs a named workload from the scenario catalog
 /// (src/workload/scenario.hpp; docs/WORKLOADS.md) through the chosen
@@ -313,8 +313,6 @@ int ListEngines() {
            keys.empty() ? "(no options)" : "options: ",
            keys.c_str());
   }
-  printf("legacy sugar: \"sharded:<engine>[@N]\" still parses to the "
-         "canonical form.\n");
   return 0;
 }
 

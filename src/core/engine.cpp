@@ -44,15 +44,45 @@ obs::Domain ToObsTraceDomain(ClockDomain clock) {
   return obs::Domain::kHostWall;
 }
 
+namespace {
+
+/// Modeled device latency: update + matching makespan with host
+/// preprocessing overlapped (§IV-A).  The one formula behind both
+/// ModeledSeconds accessors and the modeled-clock latency stamp.
+double ModeledLatency(const DeviceStats& update, const DeviceStats& match,
+                      double tick_seconds, double preprocess_host_seconds) {
+  const double device =
+      static_cast<double>(update.makespan_ticks + match.makespan_ticks) *
+      tick_seconds;
+  return std::max(device, preprocess_host_seconds);
+}
+
+}  // namespace
+
+double QueryReport::ModeledSeconds(const DeviceConfig& cfg) const {
+  return ModeledLatency(update_stats, match_stats, cfg.TickSeconds(),
+                        preprocess_host_seconds);
+}
+
+double BatchReport::ModeledSeconds(const DeviceConfig& cfg) const {
+  return ModeledLatency(update_stats, match_stats, cfg.TickSeconds(),
+                        preprocess_host_seconds);
+}
+
 // ---------------------------------------------------------------- Engine
 
 BatchReport Engine::ProcessBatch(const UpdateBatch& raw_batch,
                                  const BatchOptions& options) {
+  Timer wall;
+  return DigestBatch(SanitizeBatch(host_graph(), raw_batch), options, wall);
+}
+
+BatchReport Engine::DigestBatch(const UpdateBatch& batch,
+                                const BatchOptions& options,
+                                const Timer& wall,
+                                const std::function<void()>& after_update) {
   BatchReport report;
   InitReport(&report);
-  Timer wall;
-
-  UpdateBatch batch = SanitizeBatch(host_graph(), raw_batch);
 
 #if BDSM_OBS
   const bool obs_on = obs::Enabled();
@@ -82,6 +112,7 @@ BatchReport Engine::ProcessBatch(const UpdateBatch& raw_batch,
     cp_after[1] = report.critical_path_seconds;
   }
 #endif
+  if (after_update) after_update();
 
   // Positive matches: inserted-edge seeds on the post-update state.
   RunMatchPhase(batch, /*positive=*/true, options, &report);
@@ -93,6 +124,28 @@ BatchReport Engine::ProcessBatch(const UpdateBatch& raw_batch,
       qr.host_wall_seconds = report.host_wall_seconds;
     }
   }
+
+  // The batch's latency on this engine's own clock — the one place it
+  // is derived; every reader takes report.latency_seconds.
+  if (clock_cache_ < 0) {
+    const EngineInfo info = Describe();
+    clock_cache_ = static_cast<int>(info.clock);
+    tick_seconds_ = info.tick_seconds;
+  }
+  switch (static_cast<ClockDomain>(clock_cache_)) {
+    case ClockDomain::kModeledDevice:
+      report.latency_seconds =
+          ModeledLatency(report.update_stats, report.match_stats,
+                         tick_seconds_, report.preprocess_host_seconds);
+      break;
+    case ClockDomain::kCriticalPath:
+      report.latency_seconds = report.critical_path_seconds;
+      break;
+    case ClockDomain::kHostWall:
+      report.latency_seconds = report.host_wall_seconds;
+      break;
+  }
+
 #if BDSM_OBS
   if (obs_on) {
     host_after[2] = report.host_wall_seconds;
@@ -114,13 +167,7 @@ void Engine::RecordBatchObs(const UpdateBatch& batch,
                             uint64_t match_ticks_after_neg,
                             const double cp_after[3]) {
 #if BDSM_OBS
-  if (obs_clock_cache_ < 0) {
-    const EngineInfo info = Describe();
-    obs_clock_cache_ = static_cast<int>(info.clock);
-    obs_tick_seconds_ = info.tick_seconds;
-  }
-  const ClockDomain clock = static_cast<ClockDomain>(obs_clock_cache_);
-
+  const ClockDomain clock = static_cast<ClockDomain>(clock_cache_);
   // Counters: the registry-backed view of the report aggregates — read
   // from the same variables the report carries, so the two can never
   // disagree.
@@ -144,39 +191,32 @@ void Engine::RecordBatchObs(const UpdateBatch& batch,
                      report.match_stats.global_transactions);
   BDSM_OBS_COUNT_US("engine.host_us", report.host_wall_seconds);
 
-  // Per-phase durations on the engine's own clock (Describe().clock),
-  // split the way ScenarioRunner's latency switch reads the report.
+  // Per-phase split of report.latency_seconds on the engine's own
+  // clock (Describe().clock).
   double phase_s[3] = {0.0, 0.0, 0.0};
-  double batch_latency = 0.0;
   switch (clock) {
     case ClockDomain::kModeledDevice: {
-      const double tick = obs_tick_seconds_;
+      const double tick = tick_seconds_;
       phase_s[0] = static_cast<double>(match_ticks_after_neg) * tick;
       phase_s[1] =
           static_cast<double>(report.update_stats.makespan_ticks) * tick;
       phase_s[2] = static_cast<double>(report.match_stats.makespan_ticks -
                                        match_ticks_after_neg) *
                    tick;
-      // ModeledSeconds semantics: device makespan overlapped with host
-      // preprocessing.
-      batch_latency = std::max(phase_s[0] + phase_s[1] + phase_s[2],
-                               report.preprocess_host_seconds);
       break;
     }
     case ClockDomain::kCriticalPath:
       phase_s[0] = cp_after[0];
       phase_s[1] = cp_after[1] - cp_after[0];
       phase_s[2] = cp_after[2] - cp_after[1];
-      batch_latency = report.critical_path_seconds;
       break;
     case ClockDomain::kHostWall:
       phase_s[0] = host_after[0];
       phase_s[1] = host_after[1] - host_after[0];
       phase_s[2] = host_after[2] - host_after[1];
-      batch_latency = report.host_wall_seconds;
       break;
   }
-  BDSM_OBS_HISTOGRAM_US("engine.batch_us", batch_latency);
+  BDSM_OBS_HISTOGRAM_US("engine.batch_us", report.latency_seconds);
 
   obs::TraceRecorder& tracer = obs::TraceRecorder::Instance();
   if (tracer.enabled()) {
@@ -186,7 +226,7 @@ void Engine::RecordBatchObs(const UpdateBatch& batch,
     span.domain = domain;
     span.batch = obs_batch_seq_;
     span.start_s = obs_cursor_seconds_;
-    span.dur_s = batch_latency;
+    span.dur_s = report.latency_seconds;
     span.detail = "ops=" + std::to_string(batch.size());
     tracer.Record(std::move(span));
     static const char* kPhaseNames[3] = {"engine.match.neg",
@@ -204,7 +244,7 @@ void Engine::RecordBatchObs(const UpdateBatch& batch,
       tracer.Record(std::move(ps));
     }
   }
-  obs_cursor_seconds_ += batch_latency;
+  obs_cursor_seconds_ += report.latency_seconds;
   ++obs_batch_seq_;
 #else
   (void)batch;

@@ -46,6 +46,7 @@
 #include "graph/labeled_graph.hpp"
 #include "graph/query_graph.hpp"
 #include "graph/update_stream.hpp"
+#include "util/timer.hpp"
 
 namespace bdsm {
 
@@ -142,13 +143,9 @@ struct QueryReport {
   size_t TotalMatches() const { return num_positive + num_negative; }
 
   /// Modeled device latency (device engines): update + matching
-  /// makespan with CPU preprocessing overlapped (§IV-A).
-  double ModeledSeconds(const DeviceConfig& cfg) const {
-    double device = static_cast<double>(update_stats.makespan_ticks +
-                                        match_stats.makespan_ticks) *
-                    cfg.TickSeconds();
-    return std::max(device, preprocess_host_seconds);
-  }
+  /// makespan with CPU preprocessing overlapped (§IV-A).  The same
+  /// formula as BatchReport::ModeledSeconds.
+  double ModeledSeconds(const DeviceConfig& cfg) const;
 
   // Streaming bookkeeping (managed by Engine; not part of the API).
   size_t streamed_positive = 0;
@@ -181,6 +178,16 @@ struct BatchReport {
   /// ProcessBatch path — there is no queue to wait in.
   double queue_wait_seconds = 0.0;
   size_t queue_depth = 0;
+  /// This batch's latency on the engine's own clock
+  /// (Engine::Describe().clock): ModeledSeconds under the engine's
+  /// DeviceConfig for kModeledDevice, `critical_path_seconds` for
+  /// kCriticalPath, `host_wall_seconds` for kHostWall.  Stamped once,
+  /// by the engine's batch loop (ProcessBatch and StreamPipeline
+  /// alike), before OnBatchDigested runs; every latency reader —
+  /// scenario rows, checkpoint totals, follower apply time, the tenant
+  /// front door's virtual clock, the obs batch span — reads this field
+  /// instead of re-deriving it.
+  double latency_seconds = 0.0;
 
   QueryReport* Find(QueryId id) {
     for (QueryReport& q : queries) {
@@ -205,12 +212,11 @@ struct BatchReport {
     return n;
   }
 
-  double ModeledSeconds(const DeviceConfig& cfg) const {
-    double device = static_cast<double>(update_stats.makespan_ticks +
-                                        match_stats.makespan_ticks) *
-                    cfg.TickSeconds();
-    return std::max(device, preprocess_host_seconds);
-  }
+  /// Modeled device latency: update + matching makespan with host
+  /// preprocessing overlapped (§IV-A).  For an engine on the modeled
+  /// clock, `latency_seconds` equals this under the engine's own
+  /// DeviceConfig, bit for bit.
+  double ModeledSeconds(const DeviceConfig& cfg) const;
 };
 
 /// Which clock an engine's latencies must be read from.  The repo's
@@ -293,9 +299,9 @@ class Engine {
   virtual const char* Name() const = 0;
 
   /// Capability introspection: canonical spec, clock domain, shard
-  /// topology.  This is how drivers pick the right latency clock —
-  /// ScenarioRunner, bench_common and the examples all switch on
-  /// Describe().clock instead of probing concrete engine types.
+  /// topology.  Every BatchReport's `latency_seconds` is stamped on
+  /// Describe().clock; drivers read the clock's name from here instead
+  /// of probing concrete engine types.
   virtual EngineInfo Describe() const = 0;
 
   /// Registers a pattern against the *current* graph state; it takes
@@ -351,10 +357,10 @@ class Engine {
   }
 
   /// Digests one update batch for every live query: sanitizes it,
-  /// enumerates negative matches on the pre-update state, applies the
-  /// update, enumerates positive matches on the post-update state.
-  /// Matches are delivered per BatchOptions (materialized and/or
-  /// streamed).
+  /// then runs the batch loop (DigestBatch) — negative matches on the
+  /// pre-update state, the update, positive matches on the post-update
+  /// state.  Matches are delivered per BatchOptions (materialized
+  /// and/or streamed); `host_wall_seconds` includes the sanitize.
   BatchReport ProcessBatch(const UpdateBatch& batch,
                            const BatchOptions& options = {});
 
@@ -368,16 +374,29 @@ class Engine {
   friend class serve::TenantFrontDoor;
   friend class replica::ReplicatedEngine;
 
-  /// Template-method phases over a batch already sanitized against
-  /// host_graph().  StreamPipeline drives them directly so it can
-  /// overlap host preparation of batch i+1 with the positive phase of
-  /// batch i.  Engines whose processing cannot be split (the sequential
-  /// CSM chassis interleaves matching with updates) do all their work
-  /// in RunUpdatePhase and leave RunMatchPhase empty.
+  /// The batch loop — the one code path that digests a batch already
+  /// sanitized against host_graph(): InitReport, then
+  /// RunMatchPhase(negative), RunUpdatePhase and RunMatchPhase(positive),
+  /// each followed by FlushPhase; then the timing, the
+  /// `latency_seconds` stamp, the obs publish and OnBatchDigested.
+  /// `wall` was started by the caller when it took the batch (the
+  /// report's `host_wall_seconds` reads it).  `after_update`, when set,
+  /// runs once the update phase is flushed: the host graph is final for
+  /// the round there, and StreamPipeline starts preparing the next
+  /// batch from it so the preparation overlaps the positive phase.
+  BatchReport DigestBatch(const UpdateBatch& batch,
+                          const BatchOptions& options, const Timer& wall,
+                          const std::function<void()>& after_update = {});
+
+  /// Template-method phases, run by DigestBatch.  Engines whose
+  /// processing cannot be split (the sequential CSM chassis
+  /// interleaves matching with updates) do all their work in
+  /// RunUpdatePhase and leave RunMatchPhase empty.
   ///
-  /// Phase contract: a driver must run every batch through the full,
-  /// fixed sequence — RunMatchPhase(positive=false), RunUpdatePhase,
-  /// RunMatchPhase(positive=true) — even when a phase has no seeds.
+  /// Phase contract: every batch runs through the full, fixed
+  /// sequence — RunMatchPhase(positive=false), RunUpdatePhase,
+  /// RunMatchPhase(positive=true) — even when a phase has no seeds
+  /// (wrappers forwarding phases to inner engines keep it too).
   /// The order is semantically forced (negatives need the pre-update
   /// state, positives the post-update state), and engines may rely on
   /// the negative phase marking the start of a batch (ShardedEngine
@@ -398,14 +417,14 @@ class Engine {
   /// when not materializing, drops them; maintains the num_* counts.
   static void FlushPhase(const BatchOptions& options, BatchReport* report);
 
-  /// End-of-batch hook, called by ProcessBatch after the phases,
-  /// flushes and timing are complete — `batch` is the *sanitized*
-  /// batch the phases actually digested, `report` is final.  Wrapper
-  /// engines that must observe every applied batch exactly once at
-  /// the outermost layer override this (the replica group tees the
-  /// batch into its WAL and advances followers here); the default
-  /// does nothing.  Runs outside the report's own clocks: work done
-  /// here never inflates the batch's reported latency.
+  /// End-of-batch hook, called by DigestBatch after the phases,
+  /// flushes, timing and latency stamp are complete — `batch` is the
+  /// *sanitized* batch the phases actually digested, `report` is
+  /// final.  Wrapper engines that must observe every applied batch
+  /// exactly once at the outermost layer override this (the replica
+  /// group tees the batch into its WAL and advances followers here);
+  /// the default does nothing.  Runs outside the report's own clocks:
+  /// work done here never inflates the batch's reported latency.
   virtual void OnBatchDigested(const UpdateBatch& batch,
                                const BatchReport& report) {
     (void)batch;
@@ -436,7 +455,7 @@ class Engine {
   }
 
   // --- observability (src/obs/; docs/OBSERVABILITY.md) ---
-  // Shared by ProcessBatch's span/counter publishing and by the
+  // Shared by DigestBatch's span/counter publishing and by the
   // serving layer's per-shard spans (ShardedEngine is a friend and
   // tags its shard spans with the same batch sequence number).
   /// Batches this engine object has processed; tags every span it
@@ -452,7 +471,7 @@ class Engine {
   std::string canonical_spec_;
 
   /// Publishes one batch's counters and clock-domain phase spans; only
-  /// called from ProcessBatch when observability is runtime-enabled.
+  /// called from DigestBatch when observability is runtime-enabled.
   /// `host_after`/`cp_after` are the cumulative host-wall /
   /// critical-path readings after each of the three phases;
   /// `match_ticks_after_neg` splits the match makespan between the
@@ -462,9 +481,9 @@ class Engine {
                       uint64_t match_ticks_after_neg,
                       const double cp_after[3]);
   /// Cached Describe().clock / .tick_seconds (-1 = not yet cached) so
-  /// the per-batch publish never rebuilds EngineInfo strings.
-  int obs_clock_cache_ = -1;
-  double obs_tick_seconds_ = 0.0;
+  /// the per-batch latency stamp never rebuilds EngineInfo strings.
+  int clock_cache_ = -1;
+  double tick_seconds_ = 0.0;
 };
 
 /// Construction options for MakeEngine / EngineRegistry.
@@ -553,8 +572,7 @@ struct EngineDef {
 ///                        spec (replica/group.hpp)
 ///
 /// Specs follow the canonical grammar of core/engine_spec.hpp —
-/// `sharded(gamma, shards=8)`, `gamma(result_cap=100000)` — with the
-/// legacy `"sharded:gamma\@8"` form accepted as sugar.  Unknown names
+/// `sharded(gamma, shards=8)`, `gamma(result_cap=100000)`.  Unknown names
 /// and option keys raise EngineSpecError whose message lists the
 /// registered names / the engine's valid keys (docs/ENGINES.md).
 class EngineRegistry {

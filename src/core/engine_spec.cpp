@@ -27,21 +27,6 @@ std::string Lower(const std::string& s) {
   return out;
 }
 
-/// Strips surrounding whitespace so the legacy desugarer sees the bare
-/// spec, matching the tolerance the canonical parser already has.
-std::string Trim(const std::string& s) {
-  size_t begin = 0, end = s.size();
-  while (begin < end &&
-         std::isspace(static_cast<unsigned char>(s[begin]))) {
-    ++begin;
-  }
-  while (end > begin &&
-         std::isspace(static_cast<unsigned char>(s[end - 1]))) {
-    --end;
-  }
-  return s.substr(begin, end - begin);
-}
-
 [[noreturn]] void Fail(const std::string& text, size_t pos,
                        const std::string& why) {
   throw EngineSpecError("bad engine spec \"" + text + "\" at position " +
@@ -140,55 +125,10 @@ class Parser {
   size_t pos_ = 0;
 };
 
-/// Desugars the legacy composite form `prefix:inner[\@N]` (e.g.
-/// "sharded:gamma\@8") into canonical text.  Only the one historical
-/// shape is accepted; anything else with ':' or '\@' is an error.
-std::string DesugarLegacy(const std::string& text) {
-  size_t colon = text.find(':');
-  size_t at = text.find('@');
-  if (colon == std::string::npos && at == std::string::npos) return text;
-  if (colon == std::string::npos || text.rfind(':') != colon) {
-    Fail(text, at == std::string::npos ? colon : at,
-         "legacy composite specs have the shape \"prefix:inner[@N]\"");
-  }
-  std::string prefix = text.substr(0, colon);
-  std::string rest = text.substr(colon + 1);
-  std::string shards;
-  at = rest.find('@');
-  if (at != std::string::npos) {
-    shards = rest.substr(at + 1);
-    rest = rest.substr(0, at);
-    if (shards.empty() ||
-        shards.find_first_not_of("0123456789") != std::string::npos ||
-        shards == "0") {
-      Fail(text, colon + 1 + at + 1,
-           "\"@\" must be followed by a positive shard count");
-    }
-  }
-  auto is_plain_name = [](const std::string& s) {
-    if (s.empty()) return false;
-    for (char c : s) {
-      if (!IsNameChar(c)) return false;
-    }
-    return true;
-  };
-  if (!is_plain_name(prefix) || !is_plain_name(rest)) {
-    Fail(text, colon + 1,
-         "legacy composite specs are plain \"prefix:inner[@N]\" names "
-         "and do not nest; use the canonical \"wrapper(inner, ...)\" "
-         "form");
-  }
-  std::string out = prefix + "(" + rest;
-  if (!shards.empty()) out += ", shards=" + shards;
-  out += ")";
-  return out;
-}
-
 }  // namespace
 
 EngineSpec EngineSpec::Parse(const std::string& text) {
-  std::string canonical = DesugarLegacy(Trim(Lower(text)));
-  return Parser(canonical).ParseTop();
+  return Parser(Lower(text)).ParseTop();
 }
 
 std::string EngineSpec::ToString() const {

@@ -41,32 +41,20 @@ PipelineStats StreamPipeline::Run(const std::vector<UpdateBatch>& stream,
     }
     bs.applied_ops = batch.size();
 
-    Timer batch_wall;
-    BatchReport report;
-    engine_->InitReport(&report);
-
-    engine_->RunMatchPhase(batch, /*positive=*/false, options, &report);
-    Engine::FlushPhase(options, &report);
-
-    engine_->RunUpdatePhase(batch, options, &report);
-    Engine::FlushPhase(options, &report);
-
-    // Host graph is now final for this round: kick off the next batch's
-    // preparation so it overlaps the positive phase below.
+    // The engine's own batch loop; once the update phase is flushed
+    // the host graph is final for this round, so the callback kicks
+    // off the next batch's preparation to overlap the positive phase.
     Timer overlap_timer;
-    if (i + 1 < stream.size()) {
-      prepared = std::async(std::launch::async, prepare, stream[i + 1]);
-    }
-
-    engine_->RunMatchPhase(batch, /*positive=*/true, options, &report);
+    BatchReport report = engine_->DigestBatch(
+        batch, options, Timer(), [&] {
+          overlap_timer.Reset();
+          if (i + 1 < stream.size()) {
+            prepared = std::async(std::launch::async, prepare, stream[i + 1]);
+          }
+        });
     last_kernel_wall = overlap_timer.ElapsedSeconds();
-    Engine::FlushPhase(options, &report);
 
-    report.host_wall_seconds = batch_wall.ElapsedSeconds();
-    for (QueryReport& qr : report.queries) {
-      if (qr.host_wall_seconds == 0.0) {
-        qr.host_wall_seconds = report.host_wall_seconds;
-      }
+    for (const QueryReport& qr : report.queries) {
       bs.positive_matches += qr.num_positive;
       bs.negative_matches += qr.num_negative;
     }

@@ -15,13 +15,22 @@
 ///     [both]   update phase (device graph + host mirror + re-encode)
 ///     [host->bg] start preparing batch i+1   <── overlaps ──┐
 ///     [engine] positive-match phase on the post-update state  <─┘
+///     [engine] timing, latency stamp, obs publish, end-of-batch hook
 ///
-/// Preparation only reads the host graph, which is final for the round
-/// once the update phase returns, so the overlap is race-free.  Results
-/// are bit-identical to calling Engine::ProcessBatch per batch (tested,
-/// including over "multi").  Engines that cannot split their
-/// processing (the sequential CSM chassis) do all work in the update
-/// phase; the pipeline stays correct, it just hides nothing.
+/// The pipeline does not copy that sequence: it runs the engine's own
+/// batch loop (Engine::DigestBatch, the loop ProcessBatch runs after
+/// sanitizing) with a callback that starts batch i+1's preparation
+/// once the update phase is flushed.  So every pipelined batch gets
+/// what a ProcessBatch call gets — `latency_seconds`, the obs counters
+/// and spans, and OnBatchDigested (a replica group's WAL tee and
+/// follower advance).  Preparation only reads the host graph, which is
+/// final for the round once the update phase returns, so the overlap
+/// is race-free.  Results are bit-identical to calling
+/// Engine::ProcessBatch per batch (tested, including over "multi"),
+/// and a replica group ships every pipelined batch (tested).  Engines
+/// that cannot split their processing (the sequential CSM chassis) do
+/// all work in the update phase; the pipeline stays correct, it just
+/// hides nothing.
 #pragma once
 
 #include <vector>
@@ -68,8 +77,8 @@ struct PipelineStats {
 /// inspect or mutate the engine between Run calls (not during one).
 class StreamPipeline {
  public:
-  /// Wraps any engine; the pipeline drives the same phases
-  /// Engine::ProcessBatch uses, overlapping preparation.
+  /// Wraps any engine; the pipeline runs the engine's own batch loop,
+  /// overlapping preparation.
   explicit StreamPipeline(Engine* engine) : engine_(engine) {}
 
   /// Processes the whole stream in order.  `reports`, when non-null,

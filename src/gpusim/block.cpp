@@ -10,6 +10,9 @@ namespace {
 /// A task with fewer remaining units than this is not worth the shared
 /// memory round-trips of a steal.
 constexpr uint64_t kMinStealRemaining = 2;
+/// Passive stealing: a busy warp polls the idle board every this many
+/// steps (the paper's "periodically scan the array").
+constexpr uint64_t kPassivePollInterval = 16;
 }  // namespace
 
 BlockScheduler::BlockScheduler(const DeviceConfig& cfg, uint32_t block_id,
@@ -119,22 +122,21 @@ BlockResult BlockScheduler::Run() {
     }
     if (next == cfg_.warps_per_block) break;  // all done
 
+    // One Step per scheduling decision (a quantum of one step).
     WarpSlot& slot = warps_[next];
-    for (uint32_t q = 0; q < cfg_.steps_per_quantum && slot.task; ++q) {
-      bool more = slot.task->Step(*slot.ctx);
-      uint64_t t = slot.ctx->DrainTicks();
-      if (t == 0) t = cfg_.ticks_per_compute_step;  // a step costs >= 1
-      slot.clock += t;
-      slot.busy += t;
-      ++slot.steps_since_poll;
-      if (!more) {
-        slot.task.reset();
-        ++tasks_executed_;
-      }
+    const bool more = slot.task->Step(*slot.ctx);
+    uint64_t t = slot.ctx->DrainTicks();
+    if (t == 0) t = cfg_.ticks_per_compute_step;  // a step costs >= 1
+    slot.clock += t;
+    slot.busy += t;
+    ++slot.steps_since_poll;
+    if (!more) {
+      slot.task.reset();
+      ++tasks_executed_;
     }
 
     if (cfg_.steal_policy == StealPolicy::kPassive && slot.task &&
-        slot.steps_since_poll >= cfg_.passive_poll_interval) {
+        slot.steps_since_poll >= kPassivePollInterval) {
       slot.steps_since_poll = 0;
       TryDonate(next);
     }

@@ -52,13 +52,6 @@ struct DeviceConfig {
   /// Modeled clock for converting ticks to seconds in reports (GHz).
   double clock_ghz = 1.4;
 
-  /// Scheduling quantum: how many Step() calls a warp gets before the
-  /// scheduler moves to the next warp of the block (round-robin).
-  uint32_t steps_per_quantum = 1;
-  /// Passive stealing: a busy warp polls the idle board every this many
-  /// steps (the paper's "periodically scan the array").
-  uint32_t passive_poll_interval = 16;
-
   StealPolicy steal_policy = StealPolicy::kActive;
 
   /// Host wall-clock budget for one Launch (0 = unlimited).  The

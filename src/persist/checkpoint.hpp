@@ -21,17 +21,16 @@
 ///   // resume the stream at r.next_batch.
 ///
 /// Drivers plug it in at the layer they own: ScenarioRunner tees via
-/// RunControls::checkpointer; the sharded serving layer tees inside
-/// its own batch barrier via ShardedEngine::AttachCheckpointer (all
-/// shard replicas are coordinated-identical there, so one snapshot of
-/// the public state covers every shard and lands in one manifest).
-/// Attach at exactly one layer — two tees would log every batch twice.
+/// RunControls::checkpointer, and the replica group tees every
+/// digested batch through its own internal Checkpointer
+/// (replica/group.hpp).  Attach at exactly one layer — two tees would
+/// log every batch twice.  Latency totals add up each report's
+/// `latency_seconds`, already on the engine's own clock.
 #pragma once
 
 #include <memory>
 #include <string>
 
-#include "gpusim/device_config.hpp"
 #include "persist/manifest.hpp"
 #include "persist/snapshot.hpp"
 #include "persist/wal.hpp"
@@ -56,13 +55,8 @@ struct CheckpointPolicy {
 
 class Checkpointer {
  public:
-  /// `device` supplies the tick scale for modeled-clock engines when
-  /// accumulating SnapshotTotals::latency_seconds (pass the same
-  /// DeviceConfig the engine was built with, i.e.
-  /// EngineOptions::gamma.device).
   explicit Checkpointer(std::string dir, CheckpointPolicy policy = {},
-                        WalOptions wal_options = {},
-                        const DeviceConfig& device = {});
+                        WalOptions wal_options = {});
   /// Finish()es; a checkpointer dying mid-stream (no Finish) leaves a
   /// torn-tail WAL, which RestoreEngine recovers by design.
   ~Checkpointer();
@@ -111,11 +105,9 @@ class Checkpointer {
   std::string dir_;
   CheckpointPolicy policy_;
   WalOptions wal_options_;
-  DeviceConfig device_;
 
   uint64_t seed_ = 0;
   std::string scenario_;
-  ClockDomain clock_ = ClockDomain::kHostWall;
   uint64_t next_batch_ = 0;
   size_t ops_since_snapshot_ = 0;
   size_t batches_since_snapshot_ = 0;
@@ -150,12 +142,10 @@ struct RestoredEngine {
 /// Warm start from a checkpoint directory: manifest -> snapshot ->
 /// engine rebuild -> WAL tail replay.  Cost is O(snapshot + tail).
 /// `options` rebuilds the engine (pass what the original run used;
-/// inline spec options override as usual); `device` scales modeled
-/// latency while re-accumulating tail totals.  Throws PersistError on
+/// inline spec options override as usual).  Throws PersistError on
 /// any unrecoverable state (no manifest, corrupt snapshot, mid-stream
 /// WAL corruption, spec no longer registered).
 RestoredEngine RestoreEngine(const std::string& checkpoint_dir,
-                             const EngineOptions& options = {},
-                             const DeviceConfig& device = {});
+                             const EngineOptions& options = {});
 
 }  // namespace bdsm::persist

@@ -51,8 +51,7 @@ RestartOutcome RunRestartScenario(const workload::ScenarioSpec& spec,
   //    is the kill (its WAL closes cleanly — the torn-write variant is
   //    exercised by tests/persist_test.cpp via file surgery).
   {
-    Checkpointer checkpointer(checkpoint_dir, policy, WalOptions{},
-                              options.gamma.device);
+    Checkpointer checkpointer(checkpoint_dir, policy);
     workload::ScenarioRunner::RunControls controls;
     controls.max_batches = kill;
     controls.checkpointer = &checkpointer;
@@ -60,8 +59,7 @@ RestartOutcome RunRestartScenario(const workload::ScenarioSpec& spec,
   }
 
   // 3. Warm restore: snapshot + WAL tail.
-  RestoredEngine restored =
-      RestoreEngine(checkpoint_dir, options, options.gamma.device);
+  RestoredEngine restored = RestoreEngine(checkpoint_dir, options);
   out.restored_at = restored.next_batch;
   out.wal_batches_replayed = restored.wal_batches_replayed;
   out.wal_tail_torn = restored.wal_tail_torn;

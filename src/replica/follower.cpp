@@ -14,28 +14,13 @@ Follower::Follower(int id, const std::string& inner_spec,
       options_(options),
       transport_(transport),
       engine_(MakeEngine(inner_spec, g, options)),
-      reader_(dir, 0) {
-  clock_ = engine_->Describe().clock;
-}
-
-double Follower::ApplyLatencySeconds(const BatchReport& report) const {
-  switch (clock_) {
-    case ClockDomain::kModeledDevice:
-      return report.ModeledSeconds(options_.gamma.device);
-    case ClockDomain::kCriticalPath:
-      return report.critical_path_seconds;
-    case ClockDomain::kHostWall:
-      return report.host_wall_seconds;
-  }
-  return 0.0;
-}
+      reader_(dir, 0) {}
 
 void Follower::Resync() {
   persist::Manifest manifest = persist::ReadManifest(reader_.dir());
   persist::Snapshot snap = persist::ReadSnapshot(
       reader_.dir() + "/" + manifest.snapshot_file);
   engine_ = persist::BuildEngineFromSnapshot(snap, options_);
-  clock_ = engine_->Describe().clock;
   reader_.Reset(snap.stream_offset);
   covered_ops_ = snap.totals.ops;
   ++resyncs_;
@@ -60,15 +45,14 @@ size_t Follower::CatchUp() {
   }
   size_t applied = 0;
   for (const UpdateBatch& batch : poll.batches) {
-    const uint64_t stream_index = reader_.next_batch() -
-                                  poll.batches.size() + applied;
     const uint64_t bytes = TransportModel::BatchWireBytes(batch);
     const double ship = transport_->ShipSeconds(bytes);
 #if BDSM_OBS
+    const uint64_t stream_index = reader_.next_batch() -
+                                  poll.batches.size() + applied;
     const double span_start = transport_seconds_ + apply_seconds_;
 #endif
-    BatchReport report = engine_->ProcessBatch(batch);
-    const double apply = ApplyLatencySeconds(report);
+    const double apply = engine_->ProcessBatch(batch).latency_seconds;
     transport_seconds_ += ship;
     apply_seconds_ += apply;
     covered_ops_ += batch.size();

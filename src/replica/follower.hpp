@@ -23,8 +23,8 @@
 ///
 /// Clock discipline: each follower accrues a virtual critical-path
 /// clock — modeled link seconds per shipped batch (replica/
-/// transport.hpp) plus apply seconds under the inner engine's own
-/// declared clock.  Never host wall time.
+/// transport.hpp) plus apply seconds, each applied report's
+/// `latency_seconds` (the inner engine's own declared clock).
 #pragma once
 
 #include <memory>
@@ -82,14 +82,12 @@ class Follower {
  private:
   /// Rebuild from the manifest's snapshot (generation gap).
   void Resync();
-  double ApplyLatencySeconds(const BatchReport& report) const;
 
   int id_;
   EngineOptions options_;
   const TransportModel* transport_;
   std::unique_ptr<Engine> engine_;
   persist::WalReader reader_;
-  ClockDomain clock_ = ClockDomain::kHostWall;
   uint64_t covered_ops_ = 0;
   uint64_t applied_batches_ = 0;
   uint64_t applied_ops_ = 0;

@@ -54,8 +54,7 @@
 ///
 /// Construction: directly, or through the registry's structured spec
 /// grammar — `MakeEngine("sharded(gamma, shards=8)", g)` builds 8
-/// gamma shards (the legacy `"sharded:gamma\@8"` sugar still parses to
-/// the same tree); the shard count defaults to
+/// gamma shards; the shard count defaults to
 /// ShardedEngine::kDefaultShards when `shards=` is omitted.  The inner
 /// spec is arbitrary — option overrides and nested wrappers compose,
 /// e.g. `sharded(gamma(result_cap=100000), shards=4, threads=2)`.
@@ -77,10 +76,6 @@
 #include "core/engine.hpp"
 #include "serve/result_fanin.hpp"
 #include "serve/thread_pool.hpp"
-
-namespace bdsm::persist {
-class Checkpointer;
-}
 
 namespace bdsm::serve {
 
@@ -179,24 +174,6 @@ class ShardedEngine final : public Engine {
   size_t PendingBatches() const;
   size_t QueueCapacity() const { return queue_capacity_; }
 
-  // ----------------------------------------------- persistence hook
-
-  /// Plugs a Checkpointer into the serving loop: after every fully
-  /// applied batch (all shard replicas advanced — the per-batch
-  /// barrier), the engine tees the batch into the checkpoint's WAL and
-  /// lets the checkpoint policy decide whether to snapshot.  All shard
-  /// replicas are identical at the barrier, so one coordinated snapshot
-  /// of the public state (graph + public query set) covers every shard
-  /// and lands in one manifest.  Covers every drive path (direct
-  /// ProcessBatch, StreamPipeline, SubmitBatch).  The checkpointer must
-  /// outlive the engine or be detached (nullptr) first; the caller must
-  /// have Begin()-started it against this engine.  Do not also tee the
-  /// same batches at the driver layer (ScenarioRunner's checkpointer
-  /// hook) — that would record them twice.
-  void AttachCheckpointer(persist::Checkpointer* checkpointer) {
-    checkpointer_ = checkpointer;
-  }
-
   /// True once a batch failed mid-flight on any drive path (direct
   /// ProcessBatch, StreamPipeline, or SubmitBatch).  A failure may
   /// leave the batch applied to some shard replicas and not others, so
@@ -283,7 +260,6 @@ class ShardedEngine final : public Engine {
   size_t queue_capacity_;
   bool stopping_ = false;
   std::atomic<bool> poisoned_{false};
-  persist::Checkpointer* checkpointer_ = nullptr;
   std::thread dispatcher_;
 };
 

@@ -29,8 +29,7 @@ TenantFrontDoor::TenantFrontDoor(const EngineSpec& inner,
                                  const LabeledGraph& g,
                                  const EngineOptions& options)
     : inner_(MakeEngine(inner, g, options)),
-      fd_(options.front_door),
-      device_(options.gamma.device) {
+      fd_(options.front_door) {
   GAMMA_CHECK_MSG(fd_.batch_ops_min >= 1 && fd_.batch_ops_min <= fd_.batch_ops_max,
                   "tenant front door needs 1 <= batch_min <= batch_max");
   target_ops_ = std::clamp(fd_.batch_ops_init, fd_.batch_ops_min,
@@ -353,7 +352,7 @@ bool TenantFrontDoor::PumpFormedBatch(FormedBatchStats* out) {
     for (const Tenant::QueuedOp& q : chosen) ops.push_back(q.op);
 
     BatchReport report = inner_->ProcessBatch(ops);
-    const double latency = ClockSeconds(report);
+    const double latency = report.latency_seconds;
 
     // Queue wait is virtual-clock: how much formed-batch service time
     // elapsed between an op's Ingest and its batch starting.
@@ -465,18 +464,6 @@ void TenantFrontDoor::PublishTenantObs(const Tenant& t) const {
 #else
   (void)t;
 #endif
-}
-
-double TenantFrontDoor::ClockSeconds(const BatchReport& report) const {
-  switch (inner_clock_) {
-    case ClockDomain::kModeledDevice:
-      return report.ModeledSeconds(device_);
-    case ClockDomain::kCriticalPath:
-      return report.critical_path_seconds;
-    case ClockDomain::kHostWall:
-      return report.host_wall_seconds;
-  }
-  return report.host_wall_seconds;
 }
 
 void TenantFrontDoor::AdaptTarget(double latency) {

@@ -27,8 +27,9 @@
 ///    drains all queues in global arrival order instead — the
 ///    noisy-neighbor baseline.
 ///  * **SLO batch formation.**  The pump's target batch size adapts
-///    AIMD-style to the recent formed-batch latency tail, read under
-///    the inner engine's declared clock (`Describe().clock` — modeled
+///    AIMD-style to the recent formed-batch latency tail — each formed
+///    batch's `latency_seconds`, on the inner engine's declared clock
+///    (`Describe().clock` — modeled
 ///    device seconds, critical path, or host wall; never a wall-clock
 ///    parallelism claim): halve when the window's max exceeds
 ///    `slo_seconds`, add `batch_ops_min` when it doesn't, clamped to
@@ -160,8 +161,6 @@ class TenantFrontDoor final : public Engine, public TenantControl {
   /// one count per tenant.  The returned ops are in arrival order.
   std::vector<Tenant::QueuedOp> SelectOps(
       size_t target, std::vector<size_t>* admitted_per_tenant);
-  /// Per-batch latency of `report` under the inner engine's clock.
-  double ClockSeconds(const BatchReport& report) const;
   /// Publishes this tenant's registry-backed views (`tenant.<name>.*`
   /// gauges) straight from its TenantCounters — the same variables the
   /// per-tenant report rows read, so the two can never disagree.
@@ -173,7 +172,6 @@ class TenantFrontDoor final : public Engine, public TenantControl {
   std::unique_ptr<Engine> inner_;
   std::string name_;
   FrontDoorOptions fd_;
-  DeviceConfig device_;     ///< for ModeledSeconds under the modeled clock
   ClockDomain inner_clock_ = ClockDomain::kHostWall;
 
   std::vector<Tenant> tenants_;                    ///< index == TenantId

@@ -10,11 +10,11 @@
 /// throughput, and truncation counts.
 ///
 /// Latency metric (one core, no wall-clock parallelism claims — see
-/// docs/BENCHMARKS.md): the runner reads the clock domain from
-/// `Engine::Describe()` — modeled device seconds
-/// (`BatchReport::ModeledSeconds`) for device engines, the per-batch
-/// *critical path* (`BatchReport::critical_path_seconds`) for sharded
-/// CPU engines, host wall seconds otherwise.
+/// docs/BENCHMARKS.md): each batch's `BatchReport::latency_seconds`,
+/// stamped by the engine on its `Engine::Describe()` clock — modeled
+/// device seconds (`BatchReport::ModeledSeconds`) for device engines,
+/// the per-batch *critical path* (`BatchReport::critical_path_seconds`)
+/// for sharded CPU engines, host wall seconds otherwise.
 /// `ScenarioReport::latency_metric` names which clock produced the
 /// numbers.
 #pragma once

@@ -3,9 +3,9 @@
 /// normalization), the friendly error paths (unknown engine / unknown
 /// option key / bad value / bad nesting / trailing garbage — all
 /// EngineSpecError, never an abort), registry validation, and the
-/// legacy-sugar equivalence: "sharded:gamma@2" and
-/// "sharded(gamma, shards=2)" build engines whose BatchReports are
-/// bit-identical on a seeded scenario stream.
+/// retired legacy sugar: "sharded:gamma@2" is no longer a second
+/// grammar — it is rejected with an error naming the offending
+/// position, at parse, validation and build time alike.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -57,10 +57,6 @@ TEST(EngineSpecTest, CaseAndWhitespaceNormalize) {
   EXPECT_EQ(EngineSpec::Parse("  sharded ( gamma , shards = 8 )  "),
             canonical);
   EXPECT_EQ(EngineSpec::Parse("sharded(GAMMA, SHARDS=8)"), canonical);
-  // Legacy sugar tolerates surrounding whitespace too (an --engine
-  // comma list splits into " sharded:gamma@8"-shaped fragments).
-  EXPECT_EQ(EngineSpec::Parse(" sharded:gamma@8 "),
-            EngineSpec::Parse("sharded:gamma@8"));
 }
 
 TEST(EngineSpecTest, OptionsKeepOrderAndLastBindingWins) {
@@ -71,15 +67,32 @@ TEST(EngineSpecTest, OptionsKeepOrderAndLastBindingWins) {
   EXPECT_EQ(spec.FindOption("no-such-key"), nullptr);
 }
 
-TEST(EngineSpecTest, LegacySugarDesugarsToCanonicalTree) {
-  EXPECT_EQ(EngineSpec::Parse("sharded:gamma@8"),
-            EngineSpec::Parse("sharded(gamma, shards=8)"));
-  EXPECT_EQ(EngineSpec::Parse("sharded:gamma"),
-            EngineSpec::Parse("sharded(gamma)"));
-  EXPECT_EQ(EngineSpec::Parse("SHARDED:TurboFlux@2"),
-            EngineSpec::Parse("sharded(turboflux, shards=2)"));
-  EXPECT_EQ(EngineSpec::Parse("sharded:gamma@8").ToString(),
-            "sharded(gamma, shards=8)");
+// The retired "prefix:inner[@N]" sugar is not a second grammar any
+// more: the name token ends at ':', and the error names that position
+// and the rest of the text.
+TEST(EngineSpecTest, LegacySugarIsRejectedNamingThePosition) {
+  struct Case {
+    const char* text;
+    const char* position;
+    const char* garbage;
+  };
+  for (const Case& c : {
+           Case{"sharded:gamma@8", "at position 7", "\":gamma@8\""},
+           Case{"sharded:gamma", "at position 7", "\":gamma\""},
+           Case{"SHARDED:TurboFlux@2", "at position 7", "\":turboflux@2\""},
+           Case{" sharded:gamma@8 ", "at position 8", "\":gamma@8 \""},
+       }) {
+    SCOPED_TRACE(c.text);
+    try {
+      EngineSpec::Parse(c.text);
+      FAIL() << "expected EngineSpecError";
+    } catch (const EngineSpecError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(c.position), std::string::npos) << what;
+      EXPECT_NE(what.find(c.garbage), std::string::npos) << what;
+    }
+    EXPECT_NE(ErrorOf(c.text).find(c.position), std::string::npos);
+  }
 }
 
 TEST(EngineSpecTest, ParseErrorsNameTheBadToken) {
@@ -206,50 +219,20 @@ TEST(EngineSpecTest, InlineOptionsConfigureTheEngine) {
   EXPECT_EQ(via_spec.total_matches, via_options.total_matches);
 }
 
-void ExpectBitIdenticalReports(const BatchReport& a, const BatchReport& b) {
-  ASSERT_EQ(a.queries.size(), b.queries.size());
-  for (size_t i = 0; i < a.queries.size(); ++i) {
-    SCOPED_TRACE("query " + std::to_string(i));
-    const QueryReport& qa = a.queries[i];
-    const QueryReport& qb = b.queries[i];
-    EXPECT_EQ(qa.id, qb.id);
-    EXPECT_EQ(qa.positive_matches, qb.positive_matches);
-    EXPECT_EQ(qa.negative_matches, qb.negative_matches);
-    EXPECT_EQ(qa.num_positive, qb.num_positive);
-    EXPECT_EQ(qa.num_negative, qb.num_negative);
-    EXPECT_EQ(qa.timed_out, qb.timed_out);
-    EXPECT_EQ(qa.overflowed, qb.overflowed);
-    EXPECT_EQ(qa.update_stats.makespan_ticks, qb.update_stats.makespan_ticks);
-    EXPECT_EQ(qa.match_stats.makespan_ticks, qb.match_stats.makespan_ticks);
-    EXPECT_EQ(qa.match_stats.total_busy_ticks,
-              qb.match_stats.total_busy_ticks);
+// The old sugar no longer builds an engine: MakeEngine throws the same
+// positioned EngineSpecError instead of silently building
+// "sharded(gamma, shards=2)".
+TEST(EngineSpecTest, LegacySugarNoLongerBuildsAnEngine) {
+  LabeledGraph g({0, 1});
+  try {
+    (void)MakeEngine("sharded:gamma@2", g);
+    FAIL() << "expected EngineSpecError";
+  } catch (const EngineSpecError& e) {
+    EXPECT_NE(std::string(e.what()).find("at position 7"),
+              std::string::npos)
+        << e.what();
   }
-  EXPECT_EQ(a.update_stats.makespan_ticks, b.update_stats.makespan_ticks);
-  EXPECT_EQ(a.match_stats.makespan_ticks, b.match_stats.makespan_ticks);
-  EXPECT_EQ(a.match_stats.tasks_executed, b.match_stats.tasks_executed);
-}
-
-// The legacy sugar is sugar only: "sharded:gamma@2" and
-// "sharded(gamma, shards=2)" digest the same seeded scenario stream
-// into bit-identical reports, batch by batch.
-TEST(EngineSpecTest, LegacySugarBuildsBitIdenticalEngine) {
-  workload::ScenarioRunner runner(*workload::FindScenario("smoke"), 2024);
-  auto legacy = MakeEngine("sharded:gamma@2", runner.graph());
-  auto canonical = MakeEngine("sharded(gamma, shards=2)", runner.graph());
-  EXPECT_STREQ(legacy->Name(), canonical->Name());
-  EXPECT_EQ(legacy->Describe().canonical_spec,
-            canonical->Describe().canonical_spec);
-  for (const QueryGraph& q : runner.queries()) {
-    legacy->AddQuery(q);
-    canonical->AddQuery(q);
-  }
-  ASSERT_FALSE(runner.stream().empty());
-  for (const UpdateBatch& batch : runner.stream()) {
-    BatchReport lr = legacy->ProcessBatch(batch);
-    BatchReport cr = canonical->ProcessBatch(batch);
-    ExpectBitIdenticalReports(lr, cr);
-    EXPECT_GT(lr.critical_path_seconds, 0.0);
-  }
+  EXPECT_NO_THROW((void)MakeEngine("sharded(gamma, shards=2)", g));
 }
 
 }  // namespace

@@ -136,6 +136,7 @@ TEST_F(ObsTest, JsonEscapeHandlesSpecials) {
   EXPECT_EQ(obs::JsonEscape(std::string(1, '\x01')), "\\u0001");
 }
 
+#if BDSM_OBS
 /// Runs the smoke scenario on a flat gamma engine with obs enabled and
 /// returns (snapshot, report).
 MetricsSnapshot RunSmoke(workload::ScenarioReport* report_out,
@@ -165,7 +166,6 @@ std::vector<std::pair<std::string, uint64_t>> DeterministicCounters(
   return out;
 }
 
-#if BDSM_OBS
 TEST_F(ObsTest, RegistryAgreesWithScenarioReport) {
   obs::SetEnabled(true);
   workload::ScenarioReport report;

@@ -1,12 +1,18 @@
 /// Stream-pipeline tests: the asynchronous overlap must be a pure
 /// scheduling change — results identical to per-batch ProcessBatch for
-/// every engine it drives — and the bookkeeping (hidden-prep
-/// accounting, per-batch stats) sane.
+/// every engine it drives, the end-of-batch hook (a replica group's
+/// WAL tee) and the obs publish included — the bookkeeping
+/// (hidden-prep accounting, per-batch stats) sane, and every report's
+/// `latency_seconds` stamped on the engine's own clock on both paths.
 #include <gtest/gtest.h>
+
+#include <functional>
 
 #include "core/stream_pipeline.hpp"
 #include "graph/graph_generator.hpp"
 #include "graph/update_stream.hpp"
+#include "obs/metrics.hpp"
+#include "workload/scenario_runner.hpp"
 
 namespace bdsm {
 namespace {
@@ -251,6 +257,129 @@ TEST(StreamPipelineTest, SinkThroughPipeline) {
   }
   EXPECT_EQ(sink.MatchesFor(qid).size(), counted);
   EXPECT_GT(counted, 0u);
+}
+
+// A replica group tees each digested batch into its WAL and advances
+// its followers from the end-of-batch hook.  The pipeline runs the
+// engine's own batch loop, so pipelined batches must ship exactly like
+// ProcessBatch'd ones and the drained followers must equal the leader.
+TEST(StreamPipelineTest, OverReplicaGroupShipsEveryBatch) {
+  workload::ScenarioRunner runner(*workload::FindScenario("smoke"),
+                                  workload::kDefaultScenarioSeed);
+  const std::vector<UpdateBatch>& stream = runner.stream();
+  ASSERT_FALSE(stream.empty());
+
+  auto engine =
+      MakeEngine("replicated(gamma, followers=2)", runner.graph());
+  for (const QueryGraph& q : runner.queries()) engine->AddQuery(q);
+  ReplicationControl* rc = engine->replication_control();
+  ASSERT_NE(rc, nullptr);
+  StreamPipeline pipe(engine.get());
+  pipe.Run(stream);
+
+  ReplicationStats stats = rc->Stats();
+  EXPECT_EQ(stats.leader_batches, stream.size());
+  EXPECT_EQ(stats.shipped_batches, 2 * stream.size());
+  rc->DrainFollowers();
+  ASSERT_EQ(rc->NumFollowers(), 2u);
+  for (size_t i = 0; i < rc->NumFollowers(); ++i) {
+    SCOPED_TRACE("follower " + std::to_string(i));
+    const Engine* follower = rc->FollowerEngine(i);
+    ASSERT_NE(follower, nullptr);
+    EXPECT_EQ(follower->host_graph(), engine->host_graph());
+    EXPECT_EQ(follower->QueryIds(), engine->QueryIds());
+  }
+}
+
+#if BDSM_OBS
+// Pipelined batches publish the same engine counters a ProcessBatch
+// run does (the obs publish is part of the engine's batch loop).
+TEST(StreamPipelineTest, PublishesTheSameEngineCountersAsProcessBatch) {
+  LabeledGraph g = GenerateUniformGraph(150, 500, 3, 1, 75);
+  auto stream = MakeStream(g, 4, 30, 76);
+  auto counters = [&](bool pipelined) {
+    obs::MetricsRegistry::Instance().Reset();
+    obs::SetEnabled(true);
+    auto engine = MakeEngine("gamma", g);
+    engine->AddQuery(TestQuery());
+    if (pipelined) {
+      StreamPipeline(engine.get()).Run(stream);
+    } else {
+      for (const UpdateBatch& b : stream) engine->ProcessBatch(b);
+    }
+    obs::SetEnabled(false);
+    obs::MetricsSnapshot snap = obs::MetricsRegistry::Instance().Snapshot();
+    obs::MetricsRegistry::Instance().Reset();
+    return std::make_pair(snap.CounterValue("engine.batches"),
+                          snap.CounterValue("engine.ops"));
+  };
+  const auto serial = counters(/*pipelined=*/false);
+  const auto pipelined = counters(/*pipelined=*/true);
+  EXPECT_EQ(serial.first, stream.size());
+  EXPECT_GT(serial.second, 0u);
+  EXPECT_EQ(pipelined.first, serial.first);
+  EXPECT_EQ(pipelined.second, serial.second);
+}
+#endif
+
+// BatchReport::latency_seconds is stamped once, by the engine's batch
+// loop, on the engine's own clock — through ProcessBatch and
+// StreamPipeline alike.  Each case states the clock's value from the
+// report's own fields: modeled engines (and wrappers over one) equal
+// ModeledSeconds under the engine's DeviceConfig bit for bit, CPU
+// engines their host wall time, sharded CPU engines their critical
+// path.
+TEST(StreamPipelineTest, LatencySecondsIsTheEngineClockOnBothPaths) {
+  LabeledGraph g = GenerateUniformGraph(150, 500, 3, 1, 77);
+  auto stream = MakeStream(g, 4, 30, 78);
+  EngineOptions opts;
+  opts.gamma.device.num_sms = 2;
+  // A slow modeled clock (10 us per tick, not the default): the device
+  // makespan, not the measured host preprocess, then decides the
+  // modeled max, so a stamp on the wrong tick cannot pass.
+  opts.gamma.device.clock_ghz = 1e-4;
+  const auto modeled = [&](const BatchReport& r) {
+    return r.ModeledSeconds(opts.gamma.device);
+  };
+  const auto host_wall = [](const BatchReport& r) {
+    return r.host_wall_seconds;
+  };
+  const auto critical_path = [](const BatchReport& r) {
+    return r.critical_path_seconds;
+  };
+  const std::vector<
+      std::pair<const char*, std::function<double(const BatchReport&)>>>
+      cases = {
+          {"gamma", modeled},
+          {"multi", modeled},
+          {"rf", host_wall},
+          {"sharded(rf, shards=2)", critical_path},
+          {"tenant(gamma)", modeled},
+          {"replicated(gamma)", modeled},
+      };
+  for (const auto& [spec, expected] : cases) {
+    SCOPED_TRACE(spec);
+    for (bool pipelined : {false, true}) {
+      SCOPED_TRACE(pipelined ? "StreamPipeline" : "ProcessBatch");
+      auto engine = MakeEngine(spec, g, opts);
+      engine->AddQuery(TestQuery());
+      engine->AddQuery(PathQuery());
+      std::vector<BatchReport> reports;
+      if (pipelined) {
+        StreamPipeline(engine.get()).Run(stream, &reports);
+      } else {
+        for (const UpdateBatch& b : stream) {
+          reports.push_back(engine->ProcessBatch(b));
+        }
+      }
+      ASSERT_EQ(reports.size(), stream.size());
+      for (size_t i = 0; i < reports.size(); ++i) {
+        EXPECT_GT(reports[i].latency_seconds, 0.0) << "batch " << i;
+        EXPECT_EQ(reports[i].latency_seconds, expected(reports[i]))
+            << "batch " << i;
+      }
+    }
+  }
 }
 
 }  // namespace

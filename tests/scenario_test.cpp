@@ -114,7 +114,7 @@ TEST(ScenarioRunnerTest, ShardedMatchesUnsharded) {
   const ScenarioSpec& smoke = *FindScenario("smoke");
   ScenarioRunner runner(smoke, kDefaultScenarioSeed);
   ScenarioReport plain = runner.Run("gamma");
-  ScenarioReport sharded = runner.Run("sharded:gamma@2");
+  ScenarioReport sharded = runner.Run("sharded(gamma, shards=2)");
   EXPECT_EQ(plain.total_matches, sharded.total_matches);
   EXPECT_EQ(plain.total_ops, sharded.total_ops);
   EXPECT_EQ(plain.truncated_queries, sharded.truncated_queries);
@@ -132,7 +132,7 @@ TEST(ScenarioRunnerTest, ReportsLatencyMetricPerEngineFamily) {
   ScenarioRunner runner(smoke, kDefaultScenarioSeed);
   EXPECT_EQ(runner.Run("gamma").latency_metric, "modeled-device");
   EXPECT_EQ(runner.Run("tf").latency_metric, "host-wall");
-  EXPECT_EQ(runner.Run("sharded:tf@2").latency_metric, "critical-path");
+  EXPECT_EQ(runner.Run("sharded(tf, shards=2)").latency_metric, "critical-path");
   // Percentiles are ordered and throughput is finite and positive.
   ScenarioReport r = runner.Run("gamma");
   EXPECT_LE(r.LatencyPercentile(50), r.LatencyPercentile(95));
