@@ -284,7 +284,7 @@ void RunOne(const ScenarioRunner& runner, const std::string& engine_spec,
   double p50 = r.LatencyPercentile(50), p95 = r.LatencyPercentile(95),
          p99 = r.LatencyPercentile(99);
   // Ingest observability (queue wait under the engine's clock, pending
-  // depth at formation/dispatch): worst case over the run's batches.
+  // depth at formation): worst case over the run's batches.
   double queue_wait_max = 0.0;
   size_t queue_depth_max = 0;
   for (const ScenarioBatchMetric& b : r.batches) {

@@ -60,9 +60,8 @@ ZERO_TOLERANCE = {"total_matches", "matches"}
 # a dead entry silently un-gates its metric, so the tables are locked
 # to the sources by tests/python/test_bench_diff.py.
 HIGHER_IS_BETTER = {
-    "throughput_ops_per_s", "replication_ops_per_s", "batches_per_s",
-    "batches_per_s_wall", "fused_speedup", "speedup_vs_1", "solved",
-    "admitted_ops", "fairness", "avg_utilization",
+    "throughput_ops_per_s", "replication_ops_per_s", "fused_speedup",
+    "solved", "admitted_ops", "fairness", "avg_utilization",
 }
 LOWER_IS_BETTER = {
     "unsolved", "shed_ops", "degraded_ops", "truncated_queries",

@@ -171,13 +171,6 @@ struct BatchReport {
   /// layer; 0 for single-instance engines.  This is the clock behind
   /// ClockDomain::kCriticalPath (see Engine::Describe()).
   double critical_path_seconds = 0.0;
-  /// Ingest-path observability (serve layer): how long this batch sat
-  /// in the ingest queue before processing started, and how many
-  /// batches (ShardedEngine::SubmitBatch) or ops (TenantFrontDoor)
-  /// were queued ahead of it at submit time.  0 on the direct
-  /// ProcessBatch path — there is no queue to wait in.
-  double queue_wait_seconds = 0.0;
-  size_t queue_depth = 0;
   /// This batch's latency on the engine's own clock
   /// (Engine::Describe().clock): ModeledSeconds under the engine's
   /// DeviceConfig for kModeledDevice, `critical_path_seconds` for
@@ -502,9 +495,6 @@ struct EngineOptions {
   /// Worker threads for ShardedEngine's phase fan-out (0 = one per
   /// shard).  Output never depends on this; only wall-clock does.
   size_t serve_threads = 0;
-  /// Capacity of the SubmitBatch ingest queue: SubmitBatch blocks (and
-  /// TrySubmitBatch refuses) once this many batches are waiting.
-  size_t serve_queue_capacity = 8;
 
   /// --- tenant front door (serve/tenant_front_door.hpp) ---
   /// Admission, SLO batch-formation and quota defaults for engines

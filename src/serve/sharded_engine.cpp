@@ -15,10 +15,8 @@ namespace bdsm::serve {
 ShardedEngine::ShardedEngine(const EngineSpec& inner, size_t num_shards,
                              const LabeledGraph& g,
                              const EngineOptions& options)
-    : pool_(options.serve_threads > 0 ? options.serve_threads : num_shards),
-      queue_capacity_(options.serve_queue_capacity) {
+    : pool_(options.serve_threads > 0 ? options.serve_threads : num_shards) {
   GAMMA_CHECK_MSG(num_shards > 0, "ShardedEngine needs at least one shard");
-  GAMMA_CHECK_MSG(queue_capacity_ > 0, "ingest queue needs capacity >= 1");
   shards_.reserve(num_shards);
   for (size_t s = 0; s < num_shards; ++s) {
     Shard shard;
@@ -41,12 +39,8 @@ ShardedEngine::ShardedEngine(const EngineSpec& inner, size_t num_shards,
     self.options.emplace_back("threads",
                               std::to_string(options.serve_threads));
   }
-  if (options.serve_queue_capacity != defaults.serve_queue_capacity) {
-    self.options.emplace_back("queue", std::to_string(queue_capacity_));
-  }
   name_ = self.ToString();
   StampCanonicalSpec(name_);
-  shard_busy_seconds_.assign(num_shards, 0.0);
   for (size_t s = 0; s < num_shards; ++s) {
     shards_[s].lane = std::make_unique<FanInSink::Lane>(
         &fanin_, [this, s](QueryId inner_id) {
@@ -55,7 +49,6 @@ ShardedEngine::ShardedEngine(const EngineSpec& inner, size_t num_shards,
           return it == map.end() ? inner_id : it->second;
         });
   }
-  dispatcher_ = std::thread([this] { DispatchLoop(); });
 }
 
 ShardedEngine::ShardedEngine(const std::string& inner, size_t num_shards,
@@ -79,16 +72,6 @@ EngineInfo ShardedEngine::Describe() const {
   info.inner_spec = inner.canonical_spec;
   info.supports_snapshot = inner.supports_snapshot;
   return info;
-}
-
-ShardedEngine::~ShardedEngine() {
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    stopping_ = true;
-  }
-  queue_ready_.notify_all();
-  queue_space_.notify_all();
-  dispatcher_.join();
 }
 
 QueryId ShardedEngine::AddQuery(const QueryGraph& q) {
@@ -159,7 +142,7 @@ size_t ShardedEngine::ShardOf(QueryId id) const {
 }
 
 void ShardedEngine::BeginBatch(const BatchOptions& options) {
-  if (poisoned_.load(std::memory_order_relaxed)) {
+  if (poisoned_) {
     throw std::runtime_error(
         "ShardedEngine poisoned: an earlier batch failed mid-flight "
         "and shard replicas may have diverged");
@@ -180,8 +163,7 @@ double ShardedEngine::ForEachShard(
   try {
     pool_.ParallelFor(shards_.size(), [&](size_t s) {
       // Thread-CPU, not wall: each shard task runs on one worker, and
-      // its cost must not inflate when workers share cores (see
-      // ShardBusySeconds docs).
+      // its cost must not inflate when workers share cores.
       ThreadCpuTimer timer;
       Shard& shard = shards_[s];
       // A nested sharded inner engine does its work on its *own* pool
@@ -202,31 +184,26 @@ double ShardedEngine::ForEachShard(
     });
   } catch (...) {
     // A shard failing mid-phase may leave the replicas diverged (some
-    // applied this batch's work, some did not) — poison on every drive
-    // path, not just the dispatcher's.
-    poisoned_.store(true, std::memory_order_relaxed);
+    // applied this batch's work, some did not).
+    poisoned_ = true;
     throw;
   }
-  // Serving stats: each phase is a barrier, so its concurrent cost is
-  // the slowest shard's (the critical path a host with enough cores
-  // pays); per-shard busy time accumulates for utilization views.
-  double slowest = 0.0;
-  double busy = 0.0;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    shard_busy_seconds_[s] += phase_seconds[s];
-    busy += phase_seconds[s];
-    slowest = std::max(slowest, phase_seconds[s]);
-  }
-  critical_path_seconds_ += slowest;
+  // Each phase is a barrier, so its concurrent cost is the slowest
+  // shard's (the critical path a host with enough cores pays).
+  const double slowest =
+      *std::max_element(phase_seconds.begin(), phase_seconds.end());
 #if BDSM_OBS
   if (obs::Enabled()) {
+    double busy = 0.0;
+    for (double seconds : phase_seconds) busy += seconds;
     BDSM_OBS_COUNT_US("serve.critical_path_us", slowest);
     BDSM_OBS_COUNT_US("serve.shards.busy_us", busy);
     obs::TraceRecorder& tracer = obs::TraceRecorder::Instance();
     if (tracer.enabled()) {
       // Per-shard fan-out lanes on the critical-path clock: all shards
       // of a phase start together (barrier semantics), the slowest one
-      // advances the cursor — mirroring critical_path_seconds_.
+      // advances the cursor — mirroring the report's
+      // critical_path_seconds.
       for (size_t s = 0; s < shards_.size(); ++s) {
         obs::TraceSpan span;
         span.name = "serve.shard";
@@ -243,14 +220,8 @@ double ShardedEngine::ForEachShard(
   }
 #else
   (void)phase_name;
-  (void)busy;
 #endif
   return slowest;
-}
-
-void ShardedEngine::ResetServingStats() {
-  shard_busy_seconds_.assign(shards_.size(), 0.0);
-  critical_path_seconds_ = 0.0;
 }
 
 void ShardedEngine::MergeIntoReport(const BatchOptions& options,
@@ -334,106 +305,6 @@ void ShardedEngine::RunUpdatePhase(const UpdateBatch& batch,
   MergeIntoReport(options, report);
 }
 
-std::future<BatchReport> ShardedEngine::SubmitBatch(UpdateBatch batch,
-                                                    BatchOptions options) {
-  std::unique_lock<std::mutex> lock(queue_mu_);
-  queue_space_.wait(lock, [this] {
-    return queue_.size() < queue_capacity_ || stopping_;
-  });
-  GAMMA_CHECK_MSG(!stopping_, "SubmitBatch on a stopping engine");
-  PendingBatch pending;
-  pending.batch = std::move(batch);
-  pending.options = options;
-  pending.enqueued = std::chrono::steady_clock::now();
-  pending.depth_at_submit = queue_.size();
-  std::future<BatchReport> result = pending.promise.get_future();
-  queue_.push_back(std::move(pending));
-  lock.unlock();
-  queue_ready_.notify_one();
-  return result;
-}
-
-std::optional<std::future<BatchReport>> ShardedEngine::TrySubmitBatch(
-    UpdateBatch batch, BatchOptions options) {
-  std::unique_lock<std::mutex> lock(queue_mu_);
-  if (queue_.size() >= queue_capacity_ || stopping_) return std::nullopt;
-  PendingBatch pending;
-  pending.batch = std::move(batch);
-  pending.options = options;
-  pending.enqueued = std::chrono::steady_clock::now();
-  pending.depth_at_submit = queue_.size();
-  std::future<BatchReport> result = pending.promise.get_future();
-  queue_.push_back(std::move(pending));
-  lock.unlock();
-  queue_ready_.notify_one();
-  return result;
-}
-
-size_t ShardedEngine::PendingBatches() const {
-  std::lock_guard<std::mutex> lock(queue_mu_);
-  return queue_.size();
-}
-
-void ShardedEngine::DispatchLoop() {
-  for (;;) {
-    PendingBatch pending;
-    {
-      std::unique_lock<std::mutex> lock(queue_mu_);
-      queue_ready_.wait(lock,
-                        [this] { return stopping_ || !queue_.empty(); });
-      // On shutdown the queue is drained first: every accepted batch
-      // still gets processed and its future fulfilled.
-      if (queue_.empty()) return;
-      pending = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    queue_space_.notify_one();
-    // A failing batch (e.g. bad_alloc out of a shard) must fail its own
-    // future, not take down the dispatcher and the process with it.
-    // It also poisons the engine: the batch may have been applied to
-    // some shard replicas and not others, so serving on would produce
-    // silently inconsistent merges.
-    try {
-      if (poisoned_.load(std::memory_order_relaxed)) {
-        throw std::runtime_error(
-            "ShardedEngine poisoned: an earlier batch failed mid-flight "
-            "and shard replicas may have diverged");
-      }
-      // Queue wait ends when the dispatcher picks the batch up, before
-      // processing starts — the pure ingest-queue component.
-      const double waited =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        pending.enqueued)
-              .count();
-#if BDSM_OBS
-      if (obs::Enabled()) {
-        BDSM_OBS_COUNT("serve.ingest.batches", 1);
-        BDSM_OBS_COUNT_US("serve.ingest.queue_wait_us", waited);
-        BDSM_OBS_GAUGE_SET("serve.ingest.queue_depth",
-                           static_cast<int64_t>(pending.depth_at_submit));
-        obs::TraceRecorder& tracer = obs::TraceRecorder::Instance();
-        if (tracer.enabled()) {
-          obs::TraceSpan span;
-          span.name = "serve.ingest.wait";
-          span.domain = obs::Domain::kHostWall;
-          span.start_s = tracer.HostNowSeconds() - waited;
-          span.dur_s = waited;
-          span.batch = obs_batch_seq_;
-          tracer.Record(std::move(span));
-        }
-      }
-#endif
-      BatchReport report = ProcessBatch(pending.batch, pending.options);
-      report.queue_wait_seconds = waited;
-      report.queue_depth = pending.depth_at_submit;
-      pending.promise.set_value(std::move(report));
-    } catch (...) {
-      poisoned_.store(true, std::memory_order_relaxed);
-      pending.promise.set_exception(std::current_exception());
-    }
-  }
-}
-
 void RegisterServeEngines(EngineRegistry* registry) {
   EngineDef def;
   def.example = "sharded(gamma, shards=8)";
@@ -452,13 +323,6 @@ void RegisterServeEngines(EngineRegistry* registry) {
          size_t n;
          if (!ParseSizeValue(v, &n)) return false;
          o->serve_threads = n;
-         return true;
-       }},
-      {"queue", "SubmitBatch ingest queue capacity (back-pressure bound)",
-       [](const std::string& v, EngineOptions* o) {
-         size_t n;
-         if (!ParseSizeValue(v, &n) || n == 0) return false;
-         o->serve_queue_capacity = n;
          return true;
        }},
   };

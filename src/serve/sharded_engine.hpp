@@ -41,35 +41,21 @@
 /// Per-query emission order is preserved; cross-shard interleaving is
 /// scheduling-dependent.
 ///
-/// Async front door: `SubmitBatch` enqueues a batch on a *bounded*
-/// ingest queue and returns a `std::future<BatchReport>`; a dedicated
-/// dispatcher thread processes queued batches strictly in submission
-/// order (the graph evolves, so batches cannot be reordered).  When the
-/// queue is full, SubmitBatch blocks — back-pressure is explicit — and
-/// `TrySubmitBatch` refuses instead, for callers that would rather shed
-/// load.  Mixing SubmitBatch with direct ProcessBatch/AddQuery/
-/// RemoveQuery calls requires external synchronization: drain pending
-/// futures first (the engine itself is not a concurrency barrier for
-/// its mutating API, same as every other Engine).
-///
 /// Construction: directly, or through the registry's structured spec
 /// grammar — `MakeEngine("sharded(gamma, shards=8)", g)` builds 8
 /// gamma shards; the shard count defaults to
 /// ShardedEngine::kDefaultShards when `shards=` is omitted.  The inner
 /// spec is arbitrary — option overrides and nested wrappers compose,
 /// e.g. `sharded(gamma(result_cap=100000), shards=4, threads=2)`.
-/// Inline keys `threads=` / `queue=` (or EngineOptions::serve_threads /
-/// serve_queue_capacity) tune the pool and the ingest bound.
+/// Inline key `threads=` (or EngineOptions::serve_threads) sizes the
+/// phase fan-out pool.  Queued, admission-controlled ingest is the
+/// tenant front door's job: wrap as `tenant(sharded(...))`
+/// (serve/tenant_front_door.hpp).
 #pragma once
 
-#include <atomic>
-#include <chrono>
-#include <deque>
-#include <future>
+#include <functional>
 #include <memory>
-#include <optional>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -87,18 +73,13 @@ class ShardedEngine final : public Engine {
   /// Builds `num_shards` instances of the inner engine spec, all over
   /// the same initial graph.  `inner` may be any registry spec tree
   /// (option overrides and nested wrappers included).  `options`
-  /// configures the inner engines and, via serve_threads /
-  /// serve_queue_capacity, this layer.  Throws EngineSpecError when
-  /// the inner spec does not resolve.
+  /// configures the inner engines and, via serve_threads, this layer.
+  /// Throws EngineSpecError when the inner spec does not resolve.
   ShardedEngine(const EngineSpec& inner, size_t num_shards,
                 const LabeledGraph& g, const EngineOptions& options = {});
   /// Convenience: parses `inner` ("gamma", "gamma(result_cap=5)", ...).
   ShardedEngine(const std::string& inner, size_t num_shards,
                 const LabeledGraph& g, const EngineOptions& options = {});
-  /// Drains the ingest queue (every accepted batch is processed and its
-  /// future fulfilled), then stops the dispatcher and the pool.
-  ~ShardedEngine() override;
-
   /// The canonical spec, e.g. "sharded(gamma, shards=4)".
   const char* Name() const override { return name_.c_str(); }
 
@@ -129,59 +110,18 @@ class ShardedEngine final : public Engine {
 
   size_t NumShards() const { return shards_.size(); }
 
-  // -------------------------------------------------- serving stats
-  // The repo's measurement convention (README, docs/BENCHMARKS.md):
-  // on a host with fewer cores than shards, measured wall-clock cannot
-  // show the concurrency, so the engine also tracks the *critical
-  // path* — each phase is a barrier costing max-over-shards, so the
-  // accumulated critical path is the wall-clock a host with
-  // >= NumShards() free cores achieves.  Shard costs are measured in
-  // thread-CPU seconds (util/timer.hpp ThreadCpuSeconds), which stay
-  // truthful when worker threads outnumber cores.
-
-  /// Cumulative per-shard thread-CPU seconds across all processed
-  /// batches (the shard worker's own compute; inner engines that spawn
-  /// helper threads are charged only for work done on the worker).
-  const std::vector<double>& ShardBusySeconds() const {
-    return shard_busy_seconds_;
-  }
-  /// Cumulative critical-path seconds: sum over every processed
-  /// phase of the slowest shard's time in that phase.
-  double CriticalPathSeconds() const { return critical_path_seconds_; }
-  void ResetServingStats();
   /// Shard index owning a live public query id (kInvalidShard if the
   /// id is unknown).
   static constexpr size_t kInvalidShard = static_cast<size_t>(-1);
   size_t ShardOf(QueryId id) const;
 
-  // ------------------------------------------------- async front door
-
-  /// Enqueues one batch; the returned future resolves to the same
-  /// BatchReport a direct ProcessBatch call would produce.  Blocks
-  /// while the ingest queue is at capacity (explicit back-pressure).
-  /// The sink in `options`, if any, must outlive the future's
-  /// resolution.
-  std::future<BatchReport> SubmitBatch(UpdateBatch batch,
-                                       BatchOptions options = {});
-
-  /// Non-blocking SubmitBatch: returns nullopt instead of waiting when
-  /// the queue is full (load shedding).
-  std::optional<std::future<BatchReport>> TrySubmitBatch(
-      UpdateBatch batch, BatchOptions options = {});
-
-  /// Batches accepted but not yet picked up by the dispatcher (an
-  /// in-flight batch no longer counts).
-  size_t PendingBatches() const;
-  size_t QueueCapacity() const { return queue_capacity_; }
-
   /// True once a batch failed mid-flight on any drive path (direct
-  /// ProcessBatch, StreamPipeline, or SubmitBatch).  A failure may
-  /// leave the batch applied to some shard replicas and not others, so
-  /// the engine poisons itself: every later batch — pending futures
-  /// and direct calls alike — fails with the poison error instead of
-  /// merging silently inconsistent results.  Rebuild the engine to
-  /// recover.
-  bool Poisoned() const { return poisoned_.load(std::memory_order_relaxed); }
+  /// ProcessBatch or StreamPipeline).  A failure may leave the batch
+  /// applied to some shard replicas and not others, so the engine
+  /// poisons itself: every later batch fails with the poison error
+  /// instead of merging silently inconsistent results.  Rebuild the
+  /// engine to recover.
+  bool Poisoned() const { return poisoned_; }
 
  protected:
   // Engine phase fan-out: each phase runs on every shard concurrently,
@@ -208,26 +148,15 @@ class ShardedEngine final : public Engine {
     size_t shard;
     QueryId inner_id;
   };
-  struct PendingBatch {
-    UpdateBatch batch;
-    BatchOptions options;
-    std::promise<BatchReport> promise;
-    /// Ingest observability (BatchReport::queue_wait_seconds /
-    /// queue_depth): when the batch entered the queue, and how many
-    /// accepted batches sat ahead of it.  Host wall time is honest
-    /// here — the queue wait is real dispatcher lag, not a modeled
-    /// parallelism claim.
-    std::chrono::steady_clock::time_point enqueued;
-    size_t depth_at_submit = 0;
-  };
-
   /// Resets per-shard scratch and points the fan-in at this batch's
   /// sink; called when the first phase of a batch starts.
   void BeginBatch(const BatchOptions& options);
   /// Runs one phase body on every shard via the pool, streaming through
-  /// the shard's lane, then merges scratch into `report`.  Returns the
-  /// phase's critical path (the slowest shard's thread-CPU seconds).
-  /// `phase_name` tags the per-shard observability spans
+  /// the shard's lane.  Returns the phase's critical path: the slowest
+  /// shard's thread-CPU seconds (util/timer.hpp ThreadCpuSeconds, which
+  /// stay truthful when workers outnumber cores) — each phase is a
+  /// barrier, so this is the wall-clock a host with >= NumShards() free
+  /// cores pays.  `phase_name` tags the per-shard observability spans
   /// (docs/OBSERVABILITY.md): "match-", "update" or "match+".
   double ForEachShard(const BatchOptions& options, const char* phase_name,
                       const std::function<void(Shard&, const BatchOptions&)>&
@@ -235,15 +164,12 @@ class ShardedEngine final : public Engine {
   /// Copies per-query state from shard scratch into the public report
   /// (slots in registration order) and rebuilds the aggregates.
   void MergeIntoReport(const BatchOptions& options, BatchReport* report);
-  void DispatchLoop();
 
   std::string name_;
   std::vector<Shard> shards_;
   std::vector<SlotRef> slots_;
   QueryId next_id_ = 0;
 
-  std::vector<double> shard_busy_seconds_;
-  double critical_path_seconds_ = 0.0;
   /// Critical-path span cursor for per-shard phase spans: advances by
   /// each phase's slowest shard, so shard spans tile the same timeline
   /// the engine-level critical-path spans do (obs layer; only advanced
@@ -252,15 +178,7 @@ class ShardedEngine final : public Engine {
 
   FanInSink fanin_;
   ThreadPool pool_;
-
-  mutable std::mutex queue_mu_;
-  std::condition_variable queue_ready_;  ///< batch available / stopping
-  std::condition_variable queue_space_;  ///< below capacity again
-  std::deque<PendingBatch> queue_;
-  size_t queue_capacity_;
-  bool stopping_ = false;
-  std::atomic<bool> poisoned_{false};
-  std::thread dispatcher_;
+  bool poisoned_ = false;
 };
 
 /// Hook called by the EngineRegistry constructor so the "sharded"

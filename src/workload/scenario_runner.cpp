@@ -134,8 +134,6 @@ ScenarioReport ScenarioRunner::Run(const std::string& engine_spec,
       if (qr.Truncated()) ++m.truncated_queries;
     }
     m.latency_seconds = report.latency_seconds;
-    m.queue_wait_seconds = report.queue_wait_seconds;
-    m.queue_depth = report.queue_depth;
     out.total_ops += m.ops;
     out.total_matches += m.positive_matches + m.negative_matches;
     out.truncated_queries += m.truncated_queries;

@@ -39,10 +39,10 @@ struct ScenarioBatchMetric {
   size_t negative_matches = 0;
   size_t truncated_queries = 0;  ///< queries with partial results
   double latency_seconds = 0.0;  ///< per the runner's latency metric
-  /// Ingest observability (BatchReport::queue_wait_seconds /
-  /// queue_depth): 0 on the direct ProcessBatch path; on the tenant
-  /// drive path, the worst virtual-clock wait among the formed batch's
-  /// ops and the pending-op depth when it was formed.
+  /// Ingest observability: 0 on the direct ProcessBatch path (there is
+  /// no queue to wait in); on the tenant drive path, the worst
+  /// virtual-clock wait among the formed batch's ops and the pending-op
+  /// depth when it was formed.
   double queue_wait_seconds = 0.0;
   size_t queue_depth = 0;
 };

@@ -41,7 +41,7 @@ TEST(EngineSpecTest, ParseToStringRoundTripsNestedSpecs) {
            "sharded(gamma, shards=8)",
            "sharded(gamma, shards=8, threads=4)",
            "sharded(gamma(result_cap=100000, budget=0.5), shards=2)",
-           "sharded(sharded(rf, shards=2), shards=2, queue=16)",
+           "sharded(sharded(rf, shards=2), shards=2, threads=2)",
            "tf(result_cap=100, budget=1.5)",
        }) {
     SCOPED_TRACE(text);

@@ -157,8 +157,7 @@ class DirectionTableTest(unittest.TestCase):
     def test_metric_direction_resolution_order(self):
         bd = load_bench_diff()
         self.assertEqual(bd.metric_direction("future_ops_per_s"), "higher")
-        self.assertEqual(bd.metric_direction("batches_per_s_wall"),
-                         "higher")
+        self.assertEqual(bd.metric_direction("avg_utilization"), "higher")
         self.assertEqual(bd.metric_direction("latency_p95_s"), "lower")
         self.assertEqual(bd.metric_direction("fairness"), "higher")
         self.assertIsNone(bd.metric_direction("mystery_metric"))

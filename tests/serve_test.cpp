@@ -1,14 +1,16 @@
 /// Serving-layer tests (src/serve/): ShardedEngine parity against the
 /// unsharded inner engine for every registry name, determinism across
-/// pool sizes, query removal on shards, streaming fan-in, the bounded
-/// SubmitBatch ingest queue (back-pressure), StreamPipeline over a
-/// sharded engine, and the registry's composite-spec syntax.
+/// pool sizes, query removal on shards, streaming fan-in, back-pressure
+/// through the tenant front door, poisoning after a mid-batch shard
+/// failure, StreamPipeline over a sharded engine, and the registry's
+/// composite-spec syntax.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <condition_variable>
+#include <memory>
 #include <mutex>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -412,178 +414,12 @@ TEST(ShardedEngineTest, StreamingFanInPreservesPerQueryOrder) {
   }
 }
 
-// The async front door: futures resolve, in submission order, to the
-// same reports direct ProcessBatch calls produce.
-TEST(ShardedEngineTest, SubmitBatchMatchesDirectProcessing) {
-  LabeledGraph g = GenerateUniformGraph(100, 350, 3, 1, 101);
-  std::vector<UpdateBatch> stream = MakeStream(g, 102);
-
-  ShardedEngine direct("gamma", 2, g);
-  ShardedEngine async("gamma", 2, g);
-  for (const QueryGraph& q : FiveQueries()) {
-    direct.AddQuery(q);
-    async.AddQuery(q);
-  }
-
-  std::vector<std::future<BatchReport>> futures;
-  for (const UpdateBatch& b : stream) {
-    futures.push_back(async.SubmitBatch(b));
-  }
-  for (size_t i = 0; i < stream.size(); ++i) {
-    SCOPED_TRACE("batch " + std::to_string(i));
-    BatchReport got = futures[i].get();
-    BatchReport want = direct.ProcessBatch(stream[i]);
-    ExpectReportsEq(got, want, /*with_stats=*/true);
-  }
-  EXPECT_EQ(async.host_graph().NumEdges(), direct.host_graph().NumEdges());
-}
-
-/// Blocks the dispatcher inside its first delivery until released, so
-/// the test can observe a full ingest queue deterministically.
-struct GateSink final : ResultSink {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool entered = false;
-  bool release = false;
-
-  void OnMatch(QueryId, const MatchRecord&) override {
-    std::unique_lock<std::mutex> lock(mu);
-    if (release) return;
-    entered = true;
-    cv.notify_all();
-    cv.wait(lock, [this] { return release; });
-  }
-  void WaitUntilBlocked() {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [this] { return entered; });
-  }
-  void Release() {
-    std::lock_guard<std::mutex> lock(mu);
-    release = true;
-    cv.notify_all();
-  }
-};
-
-// Back-pressure: once `serve_queue_capacity` batches wait behind an
-// in-flight one, TrySubmitBatch sheds load instead of queueing more;
-// accepted batches all complete once the stall clears.
-TEST(ShardedEngineTest, BoundedQueueAppliesBackPressure) {
-  LabeledGraph g = GenerateUniformGraph(100, 350, 3, 1, 111);
-  std::vector<UpdateBatch> stream = MakeStream(g, 112);
-
-  // The gated batch must stream at least one match to block on.
-  {
-    auto probe = MakeEngine("gamma", g);
-    for (const QueryGraph& q : FiveQueries()) probe->AddQuery(q);
-    ASSERT_GT(probe->ProcessBatch(stream[0]).TotalMatches(), 0u);
-  }
-
-  EngineOptions opts;
-  opts.serve_queue_capacity = 2;
-  ShardedEngine sharded("gamma", 2, g, opts);
-  for (const QueryGraph& q : FiveQueries()) sharded.AddQuery(q);
-  EXPECT_EQ(sharded.QueueCapacity(), 2u);
-
-  GateSink gate;
-  BatchOptions gated;
-  gated.sink = &gate;
-  std::future<BatchReport> first = sharded.SubmitBatch(stream[0], gated);
-  gate.WaitUntilBlocked();  // dispatcher is mid-batch; queue is empty
-
-  auto second = sharded.TrySubmitBatch(stream[1]);
-  auto third = sharded.TrySubmitBatch(stream[2]);
-  ASSERT_TRUE(second.has_value());
-  ASSERT_TRUE(third.has_value());
-  EXPECT_EQ(sharded.PendingBatches(), 2u);
-
-  auto rejected = sharded.TrySubmitBatch(stream[2]);
-  EXPECT_FALSE(rejected.has_value());  // explicit back-pressure
-
-  gate.Release();
-  BatchReport r1 = first.get();
-  BatchReport r2 = second->get();
-  BatchReport r3 = third->get();
-  EXPECT_GT(r1.TotalMatches() + r2.TotalMatches() + r3.TotalMatches(), 0u);
-  EXPECT_EQ(sharded.PendingBatches(), 0u);
-
-  // Ingest observability: reports carry the host-wall time a batch
-  // waited behind the in-flight one and the queue depth at submit.
-  // The second and third batches queued while the gate held the
-  // dispatcher, so their waits are real; the third saw the second
-  // already queued ahead of it.
-  EXPECT_GT(r2.queue_wait_seconds, 0.0);
-  EXPECT_GT(r3.queue_wait_seconds, 0.0);
-  EXPECT_EQ(r2.queue_depth, 0u);
-  EXPECT_EQ(r3.queue_depth, 1u);
-
-  // Capacity is available again once the burst drains.
-  auto again = sharded.TrySubmitBatch(stream[2]);
-  ASSERT_TRUE(again.has_value());
-  again->get();
-}
-
-// Back-pressure fairness, no tenant layer: two producers racing a
-// capacity-1 ingest queue, each retrying its own rejected submissions,
-// both finish their whole disjoint workload — shedding never turns
-// into starvation.  Insert-only batches of unique fresh edges keep
-// every interleaving valid.
-TEST(ShardedEngineTest, TwoProducersBothProgressUnderBackPressure) {
-  LabeledGraph g = GenerateUniformGraph(100, 350, 3, 1, 131);
-  constexpr size_t kBatchesPerProducer = 5, kOpsPerBatch = 8;
-  std::vector<std::vector<UpdateBatch>> work(2);
-  VertexId u = 0, v = 1;
-  auto next_missing_edge = [&] {
-    while (v >= g.NumVertices() || g.HasEdge(u, v)) {
-      if (++v >= g.NumVertices()) {
-        ++u;
-        v = u + 1;
-      }
-    }
-  };
-  for (auto& batches : work) {
-    for (size_t b = 0; b < kBatchesPerProducer; ++b) {
-      UpdateBatch batch;
-      for (size_t i = 0; i < kOpsPerBatch; ++i) {
-        next_missing_edge();
-        batch.push_back(UpdateOp{true, u, v, kNoLabel});
-        ++v;  // never hand the same edge out twice
-      }
-      batches.push_back(std::move(batch));
-    }
-  }
-
-  EngineOptions opts;
-  opts.serve_queue_capacity = 1;
-  ShardedEngine sharded("gamma", 2, g, opts);
-  for (const QueryGraph& q : FiveQueries()) sharded.AddQuery(q);
-
-  std::vector<size_t> rejections(2, 0);
-  std::vector<std::thread> producers;
-  for (size_t p = 0; p < 2; ++p) {
-    producers.emplace_back([&, p] {
-      for (const UpdateBatch& batch : work[p]) {
-        std::optional<std::future<BatchReport>> fut;
-        while (!(fut = sharded.TrySubmitBatch(batch))) {
-          ++rejections[p];  // back-pressure: shed and retry, never block
-          std::this_thread::yield();
-        }
-        fut->get();
-      }
-    });
-  }
-  for (std::thread& t : producers) t.join();
-
-  // Both producers landed every batch: all 80 unique edges are in.
-  EXPECT_EQ(sharded.host_graph().NumEdges(),
-            g.NumEdges() + 2 * kBatchesPerProducer * kOpsPerBatch);
-  EXPECT_EQ(sharded.PendingBatches(), 0u);
-}
-
-// Back-pressure fairness, with the tenant layer: the same two-producer
-// race, but each producer ingests into its own bounded tenant queue of
-// a tenant(sharded(...)) front door (externally synchronized, per the
-// Engine contract) while a consumer pumps.  Both tenants get admitted
-// work and every offered op is accounted admitted-or-shed.
+// Back-pressure fairness through the tenant layer, the serving stack's
+// ingest queue: two producers race, each ingesting into its own
+// bounded tenant queue of a tenant(sharded(...)) front door
+// (externally synchronized, per the Engine contract) while a consumer
+// pumps.  Both tenants get admitted work and every offered op is
+// accounted admitted-or-shed.
 TEST(ShardedEngineTest, TwoProducersBothProgressThroughTenantLayer) {
   LabeledGraph g = GenerateUniformGraph(100, 350, 3, 1, 137);
   std::vector<UpdateBatch> stream = MakeStream(g, 138, 40);
@@ -667,6 +503,90 @@ TEST(ShardedEngineTest, StreamPipelineOverShardedIsBitIdentical) {
   }
 }
 
+/// Host-wall test engine that applies batches to its graph and finds
+/// no matches, except that its update phase throws at batch kFailAt
+/// on an instance holding a query.  Under round-robin placement one
+/// query lands on shard 0 only, so exactly one shard fails mid-batch.
+class FailAtBatchEngine final : public Engine {
+ public:
+  static constexpr size_t kFailAt = 1;
+
+  explicit FailAtBatchEngine(const LabeledGraph& g) : graph_(g) {}
+  const char* Name() const override { return "fail-at-batch"; }
+  EngineInfo Describe() const override {
+    EngineInfo info;
+    info.canonical_spec = CanonicalSpecOrName();
+    return info;
+  }
+  QueryId AddQuery(const QueryGraph&) override {
+    ids_.push_back(static_cast<QueryId>(ids_.size()));
+    return ids_.back();
+  }
+  bool RemoveQuery(QueryId) override { return false; }
+  std::vector<QueryId> QueryIds() const override { return ids_; }
+  const LabeledGraph& host_graph() const override { return graph_; }
+
+ protected:
+  void RunMatchPhase(const UpdateBatch&, bool, const BatchOptions&,
+                     BatchReport*) override {}
+  void RunUpdatePhase(const UpdateBatch& batch, const BatchOptions&,
+                      BatchReport*) override {
+    if (!ids_.empty() && batches_++ == kFailAt) {
+      throw std::runtime_error("injected shard failure");
+    }
+    ApplyBatch(&graph_, batch);
+  }
+
+ private:
+  LabeledGraph graph_;
+  std::vector<QueryId> ids_;
+  size_t batches_ = 0;
+};
+
+// A shard failing mid-batch may leave the replicas diverged, so the
+// sharded engine rethrows the failure, poisons itself, and refuses
+// every later batch instead of merging inconsistent shard results.
+TEST(ShardedEngineTest, ShardFailurePoisonsTheEngine) {
+  EngineRegistry::Instance().Register(
+      "fail-at-batch",
+      [](const EngineSpec&, const LabeledGraph& g, const EngineOptions&) {
+        return std::unique_ptr<Engine>(new FailAtBatchEngine(g));
+      });
+  LabeledGraph g = GenerateUniformGraph(100, 350, 3, 1, 141);
+  std::vector<UpdateBatch> stream = MakeStream(g, 142);
+  ASSERT_GT(stream.size(), FailAtBatchEngine::kFailAt + 1);
+
+  auto engine = MakeEngine("sharded(fail-at-batch, shards=2)", g);
+  auto* sharded = dynamic_cast<ShardedEngine*>(engine.get());
+  ASSERT_NE(sharded, nullptr);
+  sharded->AddQuery(PathQuery());
+  ASSERT_EQ(sharded->ShardOf(0), 0u);
+
+  for (size_t b = 0; b < FailAtBatchEngine::kFailAt; ++b) {
+    sharded->ProcessBatch(stream[b]);
+  }
+  EXPECT_FALSE(sharded->Poisoned());
+
+  // The shard's own failure surfaces unchanged.
+  try {
+    sharded->ProcessBatch(stream[FailAtBatchEngine::kFailAt]);
+    FAIL() << "the failing shard's exception was swallowed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "injected shard failure");
+  }
+  EXPECT_TRUE(sharded->Poisoned());
+
+  // Every later batch fails with the poison error, not a merge.
+  try {
+    sharded->ProcessBatch(stream[FailAtBatchEngine::kFailAt + 1]);
+    FAIL() << "a poisoned engine processed a batch";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("poisoned"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_TRUE(sharded->Poisoned());
+}
+
 TEST(ShardedSpecTest, CanonicalSpecsResolve) {
   EngineRegistry& reg = EngineRegistry::Instance();
   EXPECT_TRUE(reg.Has("sharded(gamma, shards=2)"));
@@ -676,6 +596,13 @@ TEST(ShardedSpecTest, CanonicalSpecsResolve) {
   EXPECT_FALSE(reg.Has("sharded(gamma, shards=0)"));
   EXPECT_FALSE(reg.Has("nosuchprefix(gamma, shards=2)"));
   EXPECT_FALSE(reg.Has("sharded"));  // a wrapper needs an inner spec
+  // The retired ingest-queue key fails loudly, naming the valid keys.
+  std::optional<std::string> retired =
+      reg.Validate("sharded(gamma, queue=16)");
+  ASSERT_TRUE(retired.has_value());
+  EXPECT_NE(retired->find("\"queue\""), std::string::npos) << *retired;
+  EXPECT_NE(retired->find("valid keys: shards, threads"), std::string::npos)
+      << *retired;
   // Wrappers nest recursively in the canonical grammar.
   EXPECT_TRUE(reg.Has("sharded(sharded(rf, shards=2), shards=2)"));
 
