@@ -3,10 +3,10 @@
 /// graph/query files.  Engine choice is a flag, not a code path.
 ///
 /// Usage:
-///   ./example_cli [--engine SPEC] [--shards N] <graph-file> <query-file>
+///   ./example_cli [--engine SPEC] <graph-file> <query-file>
 ///                 [ins-rate%] [seed]
-///   ./example_cli [--engine SPEC] [--shards N] --demo  # built-in demo
-///   ./example_cli [--engine SPEC] [--shards N] --scenario NAME
+///   ./example_cli [--engine SPEC] --demo    # built-in demo
+///   ./example_cli [--engine SPEC] --scenario NAME
 ///                 [--seed N] [--checkpoint-dir DIR]
 ///                 [--checkpoint-every N]
 ///                 [--tenants N [--priority-mix CLASS[:W],...]]
@@ -23,10 +23,8 @@
 /// SPEC is any engine spec per the canonical grammar of
 /// docs/ENGINES.md: a plain name ("gamma" (default), "multi", "tf",
 /// ...), a spec with inline options ("gamma(result_cap=100000)"), or a
-/// composed wrapper ("sharded(gamma, shards=4)").  --shards N wraps
-/// the chosen engine in the sharded serving layer
-/// (serve/sharded_engine.hpp),
-/// equivalent to writing the sharded(...) spec yourself.  --scenario
+/// composed wrapper ("sharded(gamma, shards=4)" runs the chosen engine
+/// in the sharded serving layer, serve/sharded_engine.hpp).  --scenario
 /// runs a named workload from the scenario catalog
 /// (src/workload/scenario.hpp; docs/WORKLOADS.md) through the chosen
 /// engine and prints latency percentiles, throughput and truncation —
@@ -323,13 +321,13 @@ int main(int argc, char** argv) {
   std::string metrics_json_path, trace_out_path;
   uint64_t scenario_seed = workload::kDefaultScenarioSeed;
   size_t checkpoint_every = 4;
-  long shards = 0;
   long tenants = 0;
   std::string priority_mix;
-  // Peel off --engine SPEC / --shards N / --scenario NAME / --seed N /
+  // Peel off --engine SPEC / --scenario NAME / --seed N /
   // --checkpoint-dir DIR / --checkpoint-every N / --restore DIR /
   // --tenants N / --priority-mix MIX / --list-engines wherever they
-  // appear.
+  // appear.  Any other --flag (or one missing its value) is an error;
+  // --demo is the one flag-shaped positional.
   std::vector<char*> args;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--engine") == 0 && i + 1 < argc) {
@@ -348,12 +346,6 @@ int main(int argc, char** argv) {
       restore_dir = argv[++i];
     } else if (std::strcmp(argv[i], "--list-engines") == 0) {
       return ListEngines();
-    } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      shards = std::atol(argv[++i]);
-      if (shards < 1) {
-        fprintf(stderr, "--shards wants a positive count\n");
-        return 2;
-      }
     } else if (std::strcmp(argv[i], "--tenants") == 0 && i + 1 < argc) {
       tenants = std::atol(argv[++i]);
       if (tenants < 1) {
@@ -368,21 +360,13 @@ int main(int argc, char** argv) {
       metrics_json_path = argv[++i];
     } else if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
       trace_out_path = argv[++i];
+    } else if (std::strncmp(argv[i], "--", 2) == 0 &&
+               std::strcmp(argv[i], "--demo") != 0) {
+      fprintf(stderr, "unknown flag %s, or it is missing its value\n",
+              argv[i]);
+      return 2;
     } else {
       args.push_back(argv[i]);
-    }
-  }
-  if (shards > 0) {
-    // Wrap whatever spec --engine gave us; the tree nests arbitrarily.
-    try {
-      EngineSpec wrapped;
-      wrapped.name = "sharded";
-      wrapped.children.push_back(EngineSpec::Parse(engine_name));
-      wrapped.options.emplace_back("shards", std::to_string(shards));
-      engine_name = wrapped.ToString();
-    } catch (const EngineSpecError& e) {
-      fprintf(stderr, "%s\n", e.what());
-      return 2;
     }
   }
   if (std::optional<std::string> err =

@@ -43,12 +43,7 @@ SegmentStrategy StrategyForWindow(size_t window_slots) {
 Gpma::Gpma(uint32_t segment_capacity) : seg_cap_(segment_capacity) {
   GAMMA_CHECK_MSG(std::has_single_bit(segment_capacity),
                   "segment capacity must be a power of two");
-  words_per_seg_ = (seg_cap_ + 63) / 64;
-  num_segments_ = 1;
-  segs_ = std::vector<Segment>(1);
-  occ_bits_.assign(words_per_seg_, 0);
-  tree_mins_.assign(2, kEmptyKey);
-  tree_live_.assign(2, 0);
+  Reset(1);
 }
 
 uint32_t Gpma::TreeHeight() const {
@@ -84,17 +79,6 @@ size_t Gpma::AllocatedSlots() const {
   size_t total = 0;
   for (const Segment& s : segs_) total += s.alloc;
   return total;
-}
-
-void Gpma::RefreshOccBits(size_t seg) {
-  uint64_t* w = &occ_bits_[seg * words_per_seg_];
-  uint32_t cnt = segs_[seg].count;
-  for (uint32_t i = 0; i < words_per_seg_; ++i) {
-    uint32_t lo = i * 64;
-    w[i] = cnt <= lo ? 0
-           : cnt - lo >= 64 ? ~0ull
-                            : (1ull << (cnt - lo)) - 1;
-  }
 }
 
 void Gpma::PullLeaf(size_t seg) {
@@ -162,7 +146,7 @@ Gpma::Locator Gpma::Locate(uint64_t key) const {
   return Locator{seg, a, found};
 }
 
-void Gpma::ReclassSegment(size_t seg, uint32_t needed, UpdatePlan* plan) {
+bool Gpma::ReclassSegment(size_t seg, uint32_t needed) {
   Segment& s = segs_[seg];
   uint32_t target = SizeClassFor(std::max(needed, s.count), seg_cap_);
   uint64_t roomy = std::min<uint64_t>(uint64_t{needed} * 2, seg_cap_);
@@ -171,7 +155,7 @@ void Gpma::ReclassSegment(size_t seg, uint32_t needed, UpdatePlan* plan) {
   // twice the live count is still smaller than what we hold.
   bool shrink =
       s.alloc > SizeClassFor(static_cast<uint32_t>(roomy), seg_cap_);
-  if (!grow && !shrink) return;
+  if (!grow && !shrink) return false;
   auto keys = std::make_unique<uint64_t[]>(target);
   auto vals = std::make_unique<Label[]>(target);
   if (s.count) {
@@ -181,14 +165,10 @@ void Gpma::ReclassSegment(size_t seg, uint32_t needed, UpdatePlan* plan) {
   s.keys = std::move(keys);
   s.vals = std::move(vals);
   s.alloc = target;
-  if (plan) {
-    ++plan->class_reallocs;
-    plan->class_realloc_entries += s.count;
-  }
+  return true;
 }
 
-void Gpma::InsertAt(const Locator& loc, uint64_t key, Label val,
-                    UpdatePlan* plan) {
+void Gpma::InsertAt(const Locator& loc, uint64_t key, Label val) {
   Segment& s = segs_[loc.segment];
   GAMMA_CHECK(s.count < seg_cap_);
   // A grow here is covered by the SegmentOp the caller records for this
@@ -196,9 +176,8 @@ void Gpma::InsertAt(const Locator& loc, uint64_t key, Label val,
   // segment, into whatever allocation backs it) — so it is deliberately
   // not counted as a standalone class realloc.
   if (s.count + 1 > s.alloc) {
-    ReclassSegment(loc.segment, s.count + 1, nullptr);
+    ReclassSegment(loc.segment, s.count + 1);
   }
-  (void)plan;
   for (size_t i = s.count; i > loc.offset; --i) {
     s.keys[i] = s.keys[i - 1];
     s.vals[i] = s.vals[i - 1];
@@ -207,8 +186,6 @@ void Gpma::InsertAt(const Locator& loc, uint64_t key, Label val,
   s.vals[loc.offset] = val;
   ++s.count;
   ++num_entries_;
-  occ_bits_[loc.segment * words_per_seg_ + (s.count - 1) / 64] |=
-      1ull << ((s.count - 1) % 64);
   PullLeaf(loc.segment);
 }
 
@@ -221,23 +198,19 @@ void Gpma::RemoveAt(const Locator& loc, UpdatePlan* plan) {
   }
   --s.count;
   --num_entries_;
-  occ_bits_[loc.segment * words_per_seg_ + s.count / 64] &=
-      ~(1ull << (s.count % 64));
-  ReclassSegment(loc.segment, s.count, plan);
+  if (ReclassSegment(loc.segment, s.count)) {
+    ++plan->class_reallocs;
+    plan->class_realloc_entries += s.count;
+  }
   PullLeaf(loc.segment);
 }
 
-void Gpma::RedistributeWindow(size_t first, size_t count) {
-  // Gather live entries of the window in order.
-  std::vector<uint64_t> keys;
-  std::vector<Label> vals;
-  for (size_t s = first; s < first + count; ++s) {
-    keys.insert(keys.end(), segs_[s].keys.get(),
-                segs_[s].keys.get() + segs_[s].count);
-    vals.insert(vals.end(), segs_[s].vals.get(),
-                segs_[s].vals.get() + segs_[s].count);
-  }
-  // Spread evenly; normalize each segment's size class to its share.
+void Gpma::Spread(size_t first, size_t count,
+                  const std::vector<uint64_t>& keys,
+                  const std::vector<Label>& vals) {
+  // Even spread; each segment's size class is normalized to its share
+  // (same hysteresis as ReclassSegment, so a segment left empty holds
+  // no storage unless it already had some).
   size_t total = keys.size();
   size_t base = total / count, extra = total % count;
   size_t idx = 0;
@@ -257,11 +230,32 @@ void Gpma::RedistributeWindow(size_t first, size_t count) {
     std::copy_n(keys.data() + idx, take, sg.keys.get());
     std::copy_n(vals.data() + idx, take, sg.vals.get());
     idx += take;
-    RefreshOccBits(s);
   }
-  // One bottom-up pass over the window's ancestors — no full-array
-  // sweep (the old implementation re-derived every segment min here).
   PullRange(first, count);
+}
+
+void Gpma::Gather(size_t first, size_t count, std::vector<uint64_t>* keys,
+                  std::vector<Label>* vals) const {
+  for (size_t s = first; s < first + count; ++s) {
+    keys->insert(keys->end(), segs_[s].keys.get(),
+                 segs_[s].keys.get() + segs_[s].count);
+    vals->insert(vals->end(), segs_[s].vals.get(),
+                 segs_[s].vals.get() + segs_[s].count);
+  }
+}
+
+void Gpma::RedistributeWindow(size_t first, size_t count) {
+  std::vector<uint64_t> keys;
+  std::vector<Label> vals;
+  Gather(first, count, &keys, &vals);
+  Spread(first, count, keys, vals);
+}
+
+void Gpma::Reset(size_t num_segments) {
+  num_segments_ = num_segments;
+  segs_ = std::vector<Segment>(num_segments);
+  tree_mins_.assign(2 * num_segments, kEmptyKey);
+  tree_live_.assign(2 * num_segments, 0);
 }
 
 void Gpma::Resize(size_t new_num_segments) {
@@ -271,34 +265,10 @@ void Gpma::Resize(size_t new_num_segments) {
   std::vector<Label> vals;
   keys.reserve(num_entries_);
   vals.reserve(num_entries_);
-  for (size_t s = 0; s < num_segments_; ++s) {
-    keys.insert(keys.end(), segs_[s].keys.get(),
-                segs_[s].keys.get() + segs_[s].count);
-    vals.insert(vals.end(), segs_[s].vals.get(),
-                segs_[s].vals.get() + segs_[s].count);
-  }
+  Gather(0, num_segments_, &keys, &vals);
   GAMMA_CHECK(keys.size() <= new_num_segments * seg_cap_);
-  num_segments_ = new_num_segments;
-  segs_ = std::vector<Segment>(new_num_segments);
-  occ_bits_.assign(new_num_segments * words_per_seg_, 0);
-  tree_mins_.assign(2 * new_num_segments, kEmptyKey);
-  tree_live_.assign(2 * new_num_segments, 0);
-  size_t total = keys.size();
-  size_t base = total / new_num_segments, extra = total % new_num_segments;
-  size_t idx = 0;
-  for (size_t s = 0; s < new_num_segments; ++s) {
-    size_t take = base + (s < extra ? 1 : 0);
-    Segment& sg = segs_[s];
-    sg.alloc = SizeClassFor(static_cast<uint32_t>(take), seg_cap_);
-    sg.count = static_cast<uint32_t>(take);
-    sg.keys = std::make_unique<uint64_t[]>(sg.alloc);
-    sg.vals = std::make_unique<Label[]>(sg.alloc);
-    std::copy_n(keys.data() + idx, take, sg.keys.get());
-    std::copy_n(vals.data() + idx, take, sg.vals.get());
-    idx += take;
-    RefreshOccBits(s);
-  }
-  PullRange(0, new_num_segments);
+  Reset(new_num_segments);
+  Spread(0, new_num_segments, keys, vals);
 }
 
 void Gpma::RebalanceForInsert(size_t seg, size_t incoming,
@@ -323,12 +293,10 @@ void Gpma::RebalanceForInsert(size_t seg, size_t incoming,
     if (fits && leaf_room && density <= UpperDensity(level)) {
       if (win > 1) {
         RedistributeWindow(first, win);
-        if (plan) {
-          ++plan->window_rebalances;
-          plan->AddOp(SegmentOp{live, static_cast<uint32_t>(win),
-                                static_cast<uint32_t>(incoming), 0,
-                                StrategyForWindow(win * seg_cap_)});
-        }
+        ++plan->window_rebalances;
+        plan->AddOp(SegmentOp{live, static_cast<uint32_t>(win),
+                              static_cast<uint32_t>(incoming), 0,
+                              StrategyForWindow(win * seg_cap_)});
       }
       return;
     }
@@ -346,10 +314,8 @@ void Gpma::RebalanceForInsert(size_t seg, size_t incoming,
   size_t target = std::max(n * 2, std::bit_ceil(by_occ));
   size_t moved = num_entries_;
   Resize(target);
-  if (plan) {
-    ++plan->resizes;
-    plan->resized_entries += moved;
-  }
+  ++plan->resizes;
+  plan->resized_entries += moved;
 }
 
 void Gpma::MaybeShrink(UpdatePlan* plan) {
@@ -363,10 +329,8 @@ void Gpma::MaybeShrink(UpdatePlan* plan) {
                num_segments_ / 2);
   size_t moved = num_entries_;
   Resize(target);
-  if (plan) {
-    ++plan->resizes;
-    plan->resized_entries += moved;
-  }
+  ++plan->resizes;
+  plan->resized_entries += moved;
 }
 
 void Gpma::RebalanceForDelete(size_t seg, UpdatePlan* plan) {
@@ -391,44 +355,13 @@ void Gpma::RebalanceForDelete(size_t seg, UpdatePlan* plan) {
                      static_cast<double>(win * seg_cap_);
     if (density >= LowerDensity(level)) {
       RedistributeWindow(first, win);
-      if (plan) {
-        ++plan->window_rebalances;
-        plan->AddOp(SegmentOp{live, static_cast<uint32_t>(win), 0, 1,
-                              StrategyForWindow(win * seg_cap_)});
-      }
+      ++plan->window_rebalances;
+      plan->AddOp(SegmentOp{live, static_cast<uint32_t>(win), 0, 1,
+                            StrategyForWindow(win * seg_cap_)});
       return;
     }
   }
   MaybeShrink(plan);
-}
-
-bool Gpma::InsertEdge(VertexId u, VertexId v, Label elabel) {
-  uint64_t k1 = PackEdge(u, v), k2 = PackEdge(v, u);
-  if (Locate(k1).found) return false;
-  for (uint64_t key : {k1, k2}) {
-    Locator loc = Locate(key);
-    if (segs_[loc.segment].count >= seg_cap_ ||
-        static_cast<double>(segs_[loc.segment].count + 1) /
-                static_cast<double>(seg_cap_) >
-            kLeafUpper) {
-      RebalanceForInsert(loc.segment, 1, nullptr);
-      loc = Locate(key);
-    }
-    InsertAt(loc, key, elabel, nullptr);
-  }
-  return true;
-}
-
-bool Gpma::RemoveEdge(VertexId u, VertexId v) {
-  uint64_t k1 = PackEdge(u, v), k2 = PackEdge(v, u);
-  Locator l1 = Locate(k1);
-  if (!l1.found) return false;
-  RemoveAt(l1, nullptr);
-  Locator l2 = Locate(k2);
-  GAMMA_CHECK(l2.found);
-  RemoveAt(l2, nullptr);
-  RebalanceForDelete(l2.segment, nullptr);
-  return true;
 }
 
 void Gpma::BuildFrom(const LabeledGraph& g) {
@@ -458,27 +391,9 @@ void Gpma::BuildFrom(const LabeledGraph& g) {
                               static_cast<double>(keys.size()) /
                               (kGrowTargetOccupancy * seg_cap_)) +
                           1);
-  num_segments_ = need;
-  segs_ = std::vector<Segment>(need);
-  occ_bits_.assign(need * words_per_seg_, 0);
-  tree_mins_.assign(2 * need, kEmptyKey);
-  tree_live_.assign(2 * need, 0);
+  Reset(need);
   num_entries_ = keys.size();
-  size_t base = keys.size() / need, extra = keys.size() % need;
-  size_t idx = 0;
-  for (size_t s = 0; s < need; ++s) {
-    size_t take = base + (s < extra ? 1 : 0);
-    Segment& sg = segs_[s];
-    sg.alloc = SizeClassFor(static_cast<uint32_t>(take), seg_cap_);
-    sg.count = static_cast<uint32_t>(take);
-    sg.keys = std::make_unique<uint64_t[]>(sg.alloc);
-    sg.vals = std::make_unique<Label[]>(sg.alloc);
-    std::copy_n(keys.data() + idx, take, sg.keys.get());
-    std::copy_n(vals.data() + idx, take, sg.vals.get());
-    idx += take;
-    RefreshOccBits(s);
-  }
-  PullRange(0, need);
+  Spread(0, need, keys, vals);
 }
 
 UpdatePlan Gpma::ApplyBatch(const UpdateBatch& batch) {
@@ -571,7 +486,7 @@ UpdatePlan Gpma::ApplyBatch(const UpdateBatch& batch) {
       // Segment boundaries moved; re-locate and re-group next round.
       Locator fresh = Locate(entries[i].first);
       if (!fresh.found) {
-        InsertAt(fresh, entries[i].first, entries[i].second, &plan);
+        InsertAt(fresh, entries[i].first, entries[i].second);
       }
       plan.AddOp(SegmentOp{segs_[fresh.segment].count, 1, 1, 0,
                            SegmentStrategy::kWarp});
@@ -580,7 +495,7 @@ UpdatePlan Gpma::ApplyBatch(const UpdateBatch& batch) {
     }
     for (size_t k = i; k < j; ++k) {
       Locator l = Locate(entries[k].first);
-      if (!l.found) InsertAt(l, entries[k].first, entries[k].second, &plan);
+      if (!l.found) InsertAt(l, entries[k].first, entries[k].second);
     }
     plan.inplace_ops += group;
     plan.AddOp(SegmentOp{
@@ -616,12 +531,6 @@ bool Gpma::HasEdge(VertexId u, VertexId v) const {
   return Locate(PackEdge(u, v)).found;
 }
 
-Label Gpma::EdgeLabel(VertexId u, VertexId v) const {
-  Locator loc = Locate(PackEdge(u, v));
-  if (!loc.found) return kNoLabel;
-  return ValAt(loc.segment, loc.offset);
-}
-
 bool Gpma::FindEdge(VertexId u, VertexId v, Label* elabel) const {
   Locator loc = Locate(PackEdge(u, v));
   if (!loc.found) return false;
@@ -655,24 +564,11 @@ void Gpma::NeighborsInto(VertexId v, std::vector<Neighbor>* out) const {
   }
 }
 
-std::vector<Neighbor> Gpma::NeighborsOf(VertexId v) const {
-  std::vector<Neighbor> out;
-  NeighborsInto(v, &out);
-  return out;
-}
-
-size_t Gpma::Degree(VertexId v) const {
-  std::vector<Neighbor> tmp;
-  NeighborsInto(v, &tmp);
-  return tmp.size();
-}
-
 void Gpma::CheckInvariants() const {
   size_t n = num_segments_;
   GAMMA_CHECK(std::has_single_bit(n));
   GAMMA_CHECK(segs_.size() == n);
   GAMMA_CHECK(tree_mins_.size() == 2 * n && tree_live_.size() == 2 * n);
-  GAMMA_CHECK(occ_bits_.size() == n * words_per_seg_);
   size_t live = 0;
   uint64_t prev = 0;
   bool first = true;
@@ -694,19 +590,6 @@ void Gpma::CheckInvariants() const {
     GAMMA_CHECK(tree_mins_[n + s] ==
                 (sg.count ? sg.keys[0] : kEmptyKey));
     GAMMA_CHECK(tree_live_[n + s] == sg.count);
-    // Occupancy bitmap: prefix mask of count, popcount agreement.
-    uint32_t pop = 0;
-    for (uint32_t w = 0; w < words_per_seg_; ++w) {
-      uint64_t word = occ_bits_[s * words_per_seg_ + w];
-      uint32_t lo = w * 64;
-      uint64_t expect = sg.count <= lo ? 0
-                        : sg.count - lo >= 64
-                            ? ~0ull
-                            : (1ull << (sg.count - lo)) - 1;
-      GAMMA_CHECK(word == expect);
-      pop += static_cast<uint32_t>(std::popcount(word));
-    }
-    GAMMA_CHECK(pop == sg.count);
   }
   // Internal tree nodes combine their children.
   for (size_t i = 1; i < n; ++i) {

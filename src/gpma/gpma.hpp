@@ -4,15 +4,13 @@
 ///
 /// Edges are 64-bit keys (src << 32 | dst), both directions stored, kept
 /// globally sorted across an array of fixed-capacity *segments* (the PMA
-/// leaves).  Three structures keep the hot update path cheap
+/// leaves).  Two structures keep the hot update path cheap
 /// (docs/ENGINES.md "GPMA internals"):
 ///
 /// * an implicit binary segment tree over the leaves — per-node minimum
 ///   key and live-entry count — so locate is O(log n) node hops (the
 ///   tree's top layers are what GAMMA caches in shared memory) and any
 ///   rebalance window's density is an O(1) lookup;
-/// * Jacobson-style per-segment occupancy bitmaps (one popcount word per
-///   64 slots) mirroring the packed prefix layout;
 /// * KNTRIE-style size-classed segment storage: each segment allocates
 ///   its key/value arrays from quarter-step size classes (bounded ~25%
 ///   slack), so inserts and erases are in-place array shifts in the
@@ -26,6 +24,11 @@
 /// one window redistribution absorbs many neighboring erases.  The array
 /// itself grows/shrinks by whole power-of-two resizes, sized directly to
 /// a target occupancy instead of stepwise doubling/halving.
+///
+/// ApplyBatch is the one update path.  Entries move at three sites only:
+/// InsertAt and RemoveAt shift within one segment, and Spread lays a
+/// sorted key run evenly over a segment range — the one routine behind
+/// bulk load (BuildFrom), whole-array resizes and window rebalances.
 ///
 /// This implementation uses the packed-segment PMA variant: entries are
 /// compacted at the front of each segment rather than interleaved with
@@ -67,23 +70,14 @@ class Gpma {
   /// plan describing the segment-level work done.
   UpdatePlan ApplyBatch(const UpdateBatch& batch);
 
-  /// Single-edge operations (used by tests and the bulk path).  Return
-  /// false when the edge was already present / absent respectively.
-  bool InsertEdge(VertexId u, VertexId v, Label elabel);
-  bool RemoveEdge(VertexId u, VertexId v);
-
   bool HasEdge(VertexId u, VertexId v) const;
-  Label EdgeLabel(VertexId u, VertexId v) const;
   /// Existence test that also yields the label (disambiguates absent
   /// edges from present-but-unlabeled ones).
   bool FindEdge(VertexId u, VertexId v, Label* elabel) const;
 
-  /// Sorted destination/label pairs of v's adjacency.  Materializes a
-  /// copy; the matching kernels read through NeighborsInto to reuse a
-  /// scratch buffer.
-  std::vector<Neighbor> NeighborsOf(VertexId v) const;
+  /// Replaces *out with the sorted destination/label pairs of v's
+  /// adjacency (callers reuse one scratch buffer).
   void NeighborsInto(VertexId v, std::vector<Neighbor>* out) const;
-  size_t Degree(VertexId v) const;
 
   /// Directed entry count = 2 * number of undirected edges.
   size_t NumEntries() const { return num_entries_; }
@@ -107,11 +101,6 @@ class Gpma {
   uint32_t SegmentCount(size_t seg) const { return segs_[seg].count; }
   /// Allocated slots of the segment's size class (<= segment_capacity).
   uint32_t SegmentAllocated(size_t seg) const { return segs_[seg].alloc; }
-  /// One word of the segment's occupancy bitmap (packed prefix mask).
-  uint64_t OccupancyWord(size_t seg, size_t word) const {
-    return occ_bits_[seg * words_per_seg_ + word];
-  }
-  size_t OccupancyWordsPerSegment() const { return words_per_seg_; }
   /// Total allocated slots across all segments (size-class waste bound:
   /// allocated stays within ~25% of live entries plus the per-segment
   /// minimum class).
@@ -129,7 +118,7 @@ class Gpma {
   /// (quarter-step classes: waste < 25% above the minimum class).
   static uint32_t SizeClassFor(uint32_t needed, uint32_t cap);
 
-  /// Internal consistency check: global sortedness, counts, tree/bitmap
+  /// Internal consistency check: global sortedness, counts, tree
   /// coherence, size-class bounds.  Tests call this after every
   /// mutation burst.
   void CheckInvariants() const;
@@ -164,31 +153,41 @@ class Gpma {
   Locator Locate(uint64_t key) const;
 
   /// Grows (or, with hysteresis, shrinks) the segment's storage class so
-  /// it holds `needed` entries, copying the live prefix.  Counts the
-  /// copy into `plan` when given.
-  void ReclassSegment(size_t seg, uint32_t needed, UpdatePlan* plan);
+  /// it holds `needed` entries, copying the live prefix.  Returns whether
+  /// the storage was reallocated.
+  bool ReclassSegment(size_t seg, uint32_t needed);
   /// Inserts key at locator position (grows the class in place if the
-  /// current one is full).
-  void InsertAt(const Locator& loc, uint64_t key, Label val,
-                UpdatePlan* plan);
-  /// Removes the entry at locator position.
+  /// current one is full; that copy is priced by the caller's SegmentOp).
+  void InsertAt(const Locator& loc, uint64_t key, Label val);
+  /// Removes the entry at locator position; a class shrink is counted
+  /// into `plan` as a standalone realloc.
   void RemoveAt(const Locator& loc, UpdatePlan* plan);
 
   /// Bottom-up rebalance around `seg` ensuring the leaf can take
-  /// `incoming` more entries.  Records window size in `plan` when given.
+  /// `incoming` more entries.  Records the window or resize in `plan`.
   void RebalanceForInsert(size_t seg, size_t incoming, UpdatePlan* plan);
   /// Counterpart after deletions (merges sparse windows).  Called per
-  /// dirty segment at the end of a batch's deletion phase, or per op on
-  /// the single-edge path.
+  /// dirty segment at the end of a batch's deletion phase.
   void RebalanceForDelete(size_t seg, UpdatePlan* plan);
   /// Direct-to-target shrink when the whole array is drastically
   /// oversized (size classes already reclaimed the memory; this only
   /// buys back locate height).
   void MaybeShrink(UpdatePlan* plan);
 
+  /// Lays the sorted run keys/vals evenly over segments
+  /// [first, first+count), normalizing each segment's size class to its
+  /// share, and pulls the range's tree path.
+  void Spread(size_t first, size_t count, const std::vector<uint64_t>& keys,
+              const std::vector<Label>& vals);
+  /// Appends the live entries of segments [first, first+count) in order.
+  void Gather(size_t first, size_t count, std::vector<uint64_t>* keys,
+              std::vector<Label>* vals) const;
   /// Evenly redistributes the entries of segments [first, first+count).
   void RedistributeWindow(size_t first, size_t count);
-  /// Rebuilds the array at new_num_segments, then redistributes all.
+  /// Replaces the segment array and tree with `num_segments` empty,
+  /// storage-less segments (num_entries_ is left to the caller).
+  void Reset(size_t num_segments);
+  /// Rebuilds the array at new_num_segments, then spreads all entries.
   void Resize(size_t new_num_segments);
 
   /// Density thresholds for a window at `level` (0 = leaf).
@@ -199,16 +198,12 @@ class Gpma {
   void PullLeaf(size_t seg);
   /// Same for a leaf range [first, first+count): one bottom-up pass.
   void PullRange(size_t first, size_t count);
-  /// Rewrites the segment's occupancy words as the prefix mask of count.
-  void RefreshOccBits(size_t seg);
 
   uint32_t seg_cap_;
-  uint32_t words_per_seg_;
   size_t num_segments_ = 1;          ///< always a power of two
   std::vector<Segment> segs_;
   std::vector<uint64_t> tree_mins_;  ///< implicit tree, size 2n; [0] unused
   std::vector<uint64_t> tree_live_;  ///< live entries per subtree
-  std::vector<uint64_t> occ_bits_;   ///< num_segments * words_per_seg_
   size_t num_entries_ = 0;
 };
 

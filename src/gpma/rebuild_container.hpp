@@ -6,13 +6,12 @@
 /// repository can measure that design choice (bench_ablation_container)
 /// rather than assert it.
 ///
-/// Query-side interface mirrors Gpma so kernels could run on either.
+/// Only the update side is modelled: a host mirror of the graph and the
+/// UpdatePlan pricing a full rebuild of it.  The matching kernels read
+/// the device graph through `const Gpma&` only.
 #pragma once
 
-#include <vector>
-
 #include "gpma/update_plan.hpp"
-#include "graph/csr.hpp"
 #include "graph/labeled_graph.hpp"
 #include "graph/update_stream.hpp"
 
@@ -22,17 +21,12 @@ class RebuildContainer {
  public:
   RebuildContainer() = default;
 
-  void BuildFrom(const LabeledGraph& g) {
-    mirror_ = g;
-    csr_ = CsrGraph(mirror_);
-  }
+  void BuildFrom(const LabeledGraph& g) { mirror_ = g; }
 
-  /// Applies the batch by mutating the host mirror and rebuilding the
-  /// CSR.  The returned plan prices the rebuild: every directed entry
-  /// moves once, device-wide.
+  /// Applies the batch to the host mirror.  The returned plan prices the
+  /// rebuild: every directed entry moves once, device-wide.
   UpdatePlan ApplyBatch(const UpdateBatch& batch) {
-    ApplyBatchOps(batch);
-    csr_ = CsrGraph(mirror_);
+    bdsm::ApplyBatch(&mirror_, batch);
     UpdatePlan plan;
     plan.tree_height = 1;
     // Each update still locates its position during the merge.
@@ -44,40 +38,10 @@ class RebuildContainer {
     return plan;
   }
 
-  bool HasEdge(VertexId u, VertexId v) const { return csr_.HasEdge(u, v); }
-  Label EdgeLabel(VertexId u, VertexId v) const {
-    return csr_.EdgeLabel(u, v);
-  }
-  bool FindEdge(VertexId u, VertexId v, Label* elabel) const {
-    if (!csr_.HasEdge(u, v)) return false;
-    *elabel = csr_.EdgeLabel(u, v);
-    return true;
-  }
-
-  void NeighborsInto(VertexId v, std::vector<Neighbor>* out) const {
-    out->clear();
-    auto nbrs = csr_.Neighbors(v);
-    auto labels = csr_.NeighborEdgeLabels(v);
-    for (size_t i = 0; i < nbrs.size(); ++i) {
-      out->push_back(Neighbor{nbrs[i], labels[i]});
-    }
-  }
-
-  size_t NumEdges() const { return csr_.NumEdges(); }
-  size_t Degree(VertexId v) const { return csr_.Degree(v); }
+  size_t NumEdges() const { return mirror_.NumEdges(); }
 
  private:
-  void ApplyBatchOps(const UpdateBatch& batch) {
-    for (const UpdateOp& op : batch) {
-      if (!op.is_insert) mirror_.RemoveEdge(op.u, op.v);
-    }
-    for (const UpdateOp& op : batch) {
-      if (op.is_insert) mirror_.InsertEdge(op.u, op.v, op.elabel);
-    }
-  }
-
   LabeledGraph mirror_;
-  CsrGraph csr_;
 };
 
 }  // namespace bdsm

@@ -49,19 +49,26 @@ bool LabeledGraph::RemoveEdge(VertexId u, VertexId v) {
   return true;
 }
 
-bool LabeledGraph::HasEdge(VertexId u, VertexId v) const {
+bool LabeledGraph::FindEdge(VertexId u, VertexId v, Label* elabel) const {
   if (u >= NumVertices() || v >= NumVertices()) return false;
-  // Search the shorter list.
+  // Search the shorter list; both directions carry the same label.
   VertexId a = u, b = v;
   if (adj_[a].size() > adj_[b].size()) std::swap(a, b);
-  return FindSlot(a, b) != adj_[a].size();
+  size_t s = FindSlot(a, b);
+  if (s == adj_[a].size()) return false;
+  *elabel = adj_[a][s].elabel;
+  return true;
+}
+
+bool LabeledGraph::HasEdge(VertexId u, VertexId v) const {
+  Label unused;
+  return FindEdge(u, v, &unused);
 }
 
 Label LabeledGraph::EdgeLabel(VertexId u, VertexId v) const {
-  if (u >= NumVertices() || v >= NumVertices()) return kNoLabel;
-  size_t s = FindSlot(u, v);
-  if (s == adj_[u].size()) return kNoLabel;
-  return adj_[u][s].elabel;
+  Label el = kNoLabel;
+  FindEdge(u, v, &el);
+  return el;
 }
 
 size_t LabeledGraph::CountNeighborsWithLabel(VertexId v, Label l) const {

@@ -63,6 +63,10 @@ class LabeledGraph {
 
   bool HasEdge(VertexId u, VertexId v) const;
 
+  /// Existence test that also yields the stored label (one search of the
+  /// shorter adjacency list; *elabel is untouched when absent).
+  bool FindEdge(VertexId u, VertexId v, Label* elabel) const;
+
   /// Label of edge (u, v); kNoLabel if the edge is absent.
   Label EdgeLabel(VertexId u, VertexId v) const;
 

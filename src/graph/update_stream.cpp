@@ -139,10 +139,14 @@ UpdateBatch SanitizeBatch(const LabeledGraph& g, const UpdateBatch& batch) {
     if (op.u >= n || op.v >= n) continue;  // endpoint not in the graph
     Edge e(op.u, op.v);
     if (op.u == op.v || seen.count(e)) continue;
-    bool exists = g.HasEdge(op.u, op.v);
+    Label stored = kNoLabel;
+    bool exists = g.FindEdge(op.u, op.v, &stored);
     if (op.is_insert == exists) continue;  // no-op insert or delete
     seen.insert(e);
     out.push_back(op);
+    // A deletion carries the label the graph stores, whatever the op
+    // said: negative matching seeds on it.
+    if (!op.is_insert) out.back().elabel = stored;
   }
   return out;
 }

@@ -79,7 +79,8 @@ class UpdateStreamGenerator {
 
 /// Removes intra-batch conflicts: duplicate ops on one edge, insertion of
 /// existing edges, deletion of absent edges, and ops with an endpoint
-/// outside the graph's vertex range.  Keeps first occurrence.
+/// outside the graph's vertex range.  Keeps first occurrence.  Each kept
+/// deletion is stamped with the edge's stored label.
 UpdateBatch SanitizeBatch(const LabeledGraph& g, const UpdateBatch& batch);
 
 }  // namespace bdsm

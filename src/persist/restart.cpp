@@ -1,35 +1,8 @@
 #include "persist/restart.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 namespace bdsm::persist {
-
-namespace {
-
-/// First difference between cold batch `index` and the stitched run's
-/// metric for the same stream batch; "" when equal.
-std::string DiffBatch(size_t index, const workload::ScenarioBatchMetric& cold,
-                      const workload::ScenarioBatchMetric& stitched) {
-  std::ostringstream out;
-  if (cold.ops != stitched.ops) {
-    out << "ops " << cold.ops << " vs " << stitched.ops;
-  } else if (cold.positive_matches != stitched.positive_matches) {
-    out << "+matches " << cold.positive_matches << " vs "
-        << stitched.positive_matches;
-  } else if (cold.negative_matches != stitched.negative_matches) {
-    out << "-matches " << cold.negative_matches << " vs "
-        << stitched.negative_matches;
-  } else if (cold.truncated_queries != stitched.truncated_queries) {
-    out << "truncated " << cold.truncated_queries << " vs "
-        << stitched.truncated_queries;
-  } else {
-    return "";
-  }
-  return "batch " + std::to_string(index) + " diverges: " + out.str();
-}
-
-}  // namespace
 
 RestartOutcome RunRestartScenario(const workload::ScenarioSpec& spec,
                                   uint64_t seed,
@@ -76,27 +49,9 @@ RestartOutcome RunRestartScenario(const workload::ScenarioSpec& spec,
   // 5. Verdict: the stitched per-batch counts must equal the cold
   //    run's, batch for batch (timing fields are excluded by
   //    construction — only counts are compared).
-  out.identical = true;
-  if (out.prefix.batches.size() + out.tail.batches.size() !=
-      out.cold.batches.size()) {
-    out.identical = false;
-    out.detail = "batch count mismatch: cold ran " +
-                 std::to_string(out.cold.batches.size()) +
-                 ", prefix+tail ran " +
-                 std::to_string(out.prefix.batches.size() +
-                                out.tail.batches.size());
-  }
-  for (size_t i = 0; out.identical && i < out.cold.batches.size(); ++i) {
-    const workload::ScenarioBatchMetric& stitched =
-        i < out.prefix.batches.size()
-            ? out.prefix.batches[i]
-            : out.tail.batches[i - out.prefix.batches.size()];
-    std::string diff = DiffBatch(i, out.cold.batches[i], stitched);
-    if (!diff.empty()) {
-      out.identical = false;
-      out.detail = std::move(diff);
-    }
-  }
+  out.detail =
+      workload::StitchedRunDivergence(out.cold, out.prefix, out.tail);
+  out.identical = out.detail.empty();
   if (out.identical) {
     out.detail = "restore at batch " + std::to_string(out.restored_at) +
                  " (" + std::to_string(out.wal_batches_replayed) +

@@ -1,6 +1,7 @@
 #include "workload/scenario_runner.hpp"
 
 #include <algorithm>
+#include <sstream>
 
 #include "obs/metrics.hpp"
 #include "persist/checkpoint.hpp"
@@ -30,6 +31,51 @@ double ScenarioReport::LatencyPercentile(double p) const {
 double ScenarioReport::ThroughputOpsPerSec() const {
   double total = TotalLatencySeconds();
   return total > 0.0 ? static_cast<double>(total_ops) / total : 0.0;
+}
+
+namespace {
+
+/// First difference between cold batch `index` and the stitched run's
+/// metric for the same stream batch; "" when equal.
+std::string DiffBatch(size_t index, const ScenarioBatchMetric& cold,
+                      const ScenarioBatchMetric& stitched) {
+  std::ostringstream out;
+  if (cold.ops != stitched.ops) {
+    out << "ops " << cold.ops << " vs " << stitched.ops;
+  } else if (cold.positive_matches != stitched.positive_matches) {
+    out << "+matches " << cold.positive_matches << " vs "
+        << stitched.positive_matches;
+  } else if (cold.negative_matches != stitched.negative_matches) {
+    out << "-matches " << cold.negative_matches << " vs "
+        << stitched.negative_matches;
+  } else if (cold.truncated_queries != stitched.truncated_queries) {
+    out << "truncated " << cold.truncated_queries << " vs "
+        << stitched.truncated_queries;
+  } else {
+    return "";
+  }
+  return "batch " + std::to_string(index) + " diverges: " + out.str();
+}
+
+}  // namespace
+
+std::string StitchedRunDivergence(const ScenarioReport& cold,
+                                  const ScenarioReport& prefix,
+                                  const ScenarioReport& tail) {
+  const size_t stitched = prefix.batches.size() + tail.batches.size();
+  if (stitched != cold.batches.size()) {
+    return "batch count mismatch: cold ran " +
+           std::to_string(cold.batches.size()) + ", prefix+tail ran " +
+           std::to_string(stitched);
+  }
+  for (size_t i = 0; i < cold.batches.size(); ++i) {
+    const ScenarioBatchMetric& b =
+        i < prefix.batches.size() ? prefix.batches[i]
+                                  : tail.batches[i - prefix.batches.size()];
+    std::string diff = DiffBatch(i, cold.batches[i], b);
+    if (!diff.empty()) return diff;
+  }
+  return "";
 }
 
 ScenarioRunner::ScenarioRunner(const ScenarioSpec& spec, uint64_t seed)

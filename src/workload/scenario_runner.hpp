@@ -126,6 +126,16 @@ struct ScenarioReport {
   double ThroughputOpsPerSec() const;
 };
 
+/// Verdict on a run stitched from `prefix` and `tail` (a run interrupted
+/// and resumed, as the restart and failover drills do) against the
+/// uninterrupted `cold` run: "" when prefix+tail ran as many batches as
+/// cold and every batch agrees in ops, match counts and truncations;
+/// otherwise the first divergence, naming the batch index and field.
+/// Timing is never part of the verdict.
+std::string StitchedRunDivergence(const ScenarioReport& cold,
+                                  const ScenarioReport& prefix,
+                                  const ScenarioReport& tail);
+
 class ScenarioRunner {
  public:
   /// Materializes the scenario: loads the dataset twin, extracts the

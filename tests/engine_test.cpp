@@ -403,6 +403,42 @@ TEST(EngineDynamicTest, OutOfRangeEndpointsAreDropped) {
   }
 }
 
+// A deletion's op label is not trusted: negative matching seeds on the
+// label the graph stores, as the CSM engines do.  Both batches delete a
+// label-1 triangle edge; the first op carries the default label.
+TEST(EngineDynamicTest, DeletionSeedsOnStoredEdgeLabel) {
+  LabeledGraph g({0, 0, 0});
+  g.InsertEdge(0, 1, 1);
+  g.InsertEdge(1, 2, 1);
+  g.InsertEdge(0, 2, 1);
+  QueryGraph q({0, 0, 0});
+  q.AddEdge(0, 1, 1);
+  q.AddEdge(1, 2, 1);
+  q.AddEdge(0, 2, 1);
+  const UpdateBatch batches[] = {
+      {UpdateOp{false, 0, 1}},
+      {UpdateOp{false, 0, 1}, UpdateOp{false, 1, 2, 1}},
+  };
+  for (const UpdateBatch& batch : batches) {
+    SCOPED_TRACE(batch.size());
+    auto reference = MakeEngine("rf", g);
+    QueryId ref_id = reference->AddQuery(q);
+    const std::vector<std::string> want =
+        NetKeys(*reference->ProcessBatch(batch).Find(ref_id));
+    ASSERT_EQ(want.size(), 6u);  // the triangle's six embeddings
+    for (const char* name : {"gamma", "multi", "sharded(gamma, shards=2)"}) {
+      SCOPED_TRACE(name);
+      auto engine = MakeEngine(name, g);
+      QueryId id = engine->AddQuery(q);
+      BatchReport report = engine->ProcessBatch(batch);
+      const QueryReport& qr = *report.Find(id);
+      EXPECT_EQ(qr.num_negative, 6u);
+      EXPECT_EQ(qr.num_positive, 0u);
+      EXPECT_EQ(NetKeys(qr), want);
+    }
+  }
+}
+
 TEST(EngineReportTest, EmptyEngineStillAdvancesGraph) {
   LabeledGraph g = GenerateUniformGraph(60, 150, 2, 1, 53);
   UpdateStreamGenerator gen(54);

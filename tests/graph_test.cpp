@@ -5,7 +5,6 @@
 #include <filesystem>
 #include <set>
 
-#include "graph/csr.hpp"
 #include "graph/datasets.hpp"
 #include "graph/graph_generator.hpp"
 #include "graph/graph_io.hpp"
@@ -143,33 +142,6 @@ TEST(QueryGraphTest, UsedVertexLabels) {
   QueryGraph q({5, 2, 5, 9});
   auto used = q.UsedVertexLabels();
   EXPECT_EQ(used, (std::vector<Label>{2, 5, 9}));
-}
-
-TEST(CsrTest, MatchesSourceGraph) {
-  LabeledGraph g = GenerateUniformGraph(200, 800, 4, 3, 123);
-  CsrGraph csr(g);
-  ASSERT_EQ(csr.NumVertices(), g.NumVertices());
-  ASSERT_EQ(csr.NumEdges(), g.NumEdges());
-  for (VertexId v = 0; v < g.NumVertices(); ++v) {
-    EXPECT_EQ(csr.VertexLabel(v), g.VertexLabel(v));
-    ASSERT_EQ(csr.Degree(v), g.Degree(v));
-    auto nbrs = csr.Neighbors(v);
-    auto gold = g.Neighbors(v);
-    for (size_t i = 0; i < nbrs.size(); ++i) {
-      EXPECT_EQ(nbrs[i], gold[i].v);
-      EXPECT_EQ(csr.NeighborEdgeLabels(v)[i], gold[i].elabel);
-    }
-  }
-}
-
-TEST(CsrTest, HasEdgeAndLabel) {
-  LabeledGraph g({0, 0, 0});
-  g.InsertEdge(0, 1, 4);
-  CsrGraph csr(g);
-  EXPECT_TRUE(csr.HasEdge(0, 1));
-  EXPECT_FALSE(csr.HasEdge(0, 2));
-  EXPECT_EQ(csr.EdgeLabel(1, 0), 4u);
-  EXPECT_EQ(csr.EdgeLabel(0, 2), kNoLabel);
 }
 
 TEST(KCoreTest, TriangleWithTail) {

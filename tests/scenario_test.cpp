@@ -182,5 +182,48 @@ TEST(ScenarioDifferentialTest, GammaVsCsmNetParityOnChurn) {
   EXPECT_GT(deletes_seen, 0u);  // the scenario really is deletion-heavy
 }
 
+// The restart and failover drills' verdict, on hand-built reports: a
+// run stitched from a prefix and a tail must equal the cold run batch
+// for batch, and a divergence must name the batch and the field.
+TEST(StitchedRunDivergenceTest, NamesFirstDivergingBatchAndField) {
+  ScenarioReport cold;
+  for (size_t i = 0; i < 5; ++i) {
+    ScenarioBatchMetric b;
+    b.ops = 10 + i;
+    b.positive_matches = 3 * i;
+    b.negative_matches = i;
+    b.latency_seconds = 0.001 * static_cast<double>(i + 1);
+    cold.batches.push_back(b);
+  }
+  ScenarioReport prefix, tail;
+  prefix.batches.assign(cold.batches.begin(), cold.batches.begin() + 2);
+  tail.batches.assign(cold.batches.begin() + 2, cold.batches.end());
+  // Timing differs between runs and is never compared.
+  tail.batches[0].latency_seconds = 9.0;
+  EXPECT_EQ(StitchedRunDivergence(cold, prefix, tail), "");
+
+  ScenarioReport bad_tail = tail;
+  bad_tail.batches[0].positive_matches += 1;  // stream batch 2
+  EXPECT_EQ(StitchedRunDivergence(cold, prefix, bad_tail),
+            "batch 2 diverges: +matches 6 vs 7");
+  bad_tail = tail;
+  bad_tail.batches[1].negative_matches += 1;  // stream batch 3
+  EXPECT_EQ(StitchedRunDivergence(cold, prefix, bad_tail),
+            "batch 3 diverges: -matches 3 vs 4");
+  bad_tail = tail;
+  bad_tail.batches[2].truncated_queries = 1;  // stream batch 4
+  EXPECT_EQ(StitchedRunDivergence(cold, prefix, bad_tail),
+            "batch 4 diverges: truncated 0 vs 1");
+  ScenarioReport bad_prefix = prefix;
+  bad_prefix.batches[1].ops -= 1;  // stream batch 1
+  EXPECT_EQ(StitchedRunDivergence(cold, bad_prefix, tail),
+            "batch 1 diverges: ops 11 vs 10");
+
+  ScenarioReport short_tail = tail;
+  short_tail.batches.pop_back();
+  EXPECT_EQ(StitchedRunDivergence(cold, prefix, short_tail),
+            "batch count mismatch: cold ran 5, prefix+tail ran 4");
+}
+
 }  // namespace
 }  // namespace bdsm::workload
