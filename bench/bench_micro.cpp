@@ -19,8 +19,10 @@
 #include "core/encoder.hpp"
 #include "core/engine.hpp"
 #include "gpma/gpma.hpp"
+#include "gpusim/device.hpp"
 #include "graph/graph_generator.hpp"
 #include "graph/update_stream.hpp"
+#include "util/timer.hpp"
 
 namespace bdsm {
 namespace {
@@ -226,6 +228,45 @@ void BM_EngineStreamingSink(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EngineStreamingSink);
+
+// Simulator host cost of a launch of many tiny warp tasks — the shape of
+// a fused "multi" launch, one task per (query, updated edge).  Each task
+// owns a small heap frame stack, as a WBM task does, and finishes in one
+// step.  Host ns per task must not grow from 1 to 4 host threads: task
+// memory is built, run and freed on the thread simulating its block.
+// Informational; not gated.
+class TinyTask final : public WarpTask {
+ public:
+  TinyTask() : frames_(8) {}
+  bool Step(WarpContext& ctx) override {
+    ctx.ChargeCompute(frames_.size());
+    return false;
+  }
+
+ private:
+  std::vector<uint64_t> frames_;
+};
+
+void BM_DeviceLaunchTinyTasks(benchmark::State& state) {
+  constexpr size_t kTasks = 4096;
+  Device device(DeviceConfig{}, static_cast<uint32_t>(state.range(0)));
+  double seconds = 0.0;
+  size_t tasks = 0;
+  for (auto _ : state) {
+    Timer timer;
+    const DeviceStats stats = device.Launch(
+        kTasks, [](size_t) { return std::make_unique<TinyTask>(); });
+    seconds += timer.ElapsedSeconds();
+    tasks += kTasks;
+    benchmark::DoNotOptimize(stats.makespan_ticks);
+  }
+  state.counters["host_ns_per_task"] =
+      seconds * 1e9 / static_cast<double>(tasks);
+}
+BENCHMARK(BM_DeviceLaunchTinyTasks)
+    ->Arg(1)
+    ->Arg(4)
+    ->Unit(benchmark::kMicrosecond);
 
 // ----------------------------------------------- update-path profile
 //

@@ -173,14 +173,10 @@ BfsResult RunBfsKernel(Device& device, const WbmEnv& env,
                        const std::vector<SeedEdge>& seeds) {
   MemorySampler sampler;
   std::vector<std::vector<MatchRecord>> slots(seeds.size());
-  std::vector<std::unique_ptr<WarpTask>> tasks;
-  tasks.reserve(seeds.size());
-  for (size_t i = 0; i < seeds.size(); ++i) {
-    tasks.push_back(
-        std::make_unique<BfsTask>(&env, seeds[i], &slots[i], &sampler));
-  }
   BfsResult result;
-  result.stats = device.Launch(std::move(tasks));
+  result.stats = device.Launch(seeds.size(), [&](size_t i) {
+    return std::make_unique<BfsTask>(&env, seeds[i], &slots[i], &sampler);
+  });
   for (auto& s : slots) {
     result.matches.insert(result.matches.end(), s.begin(), s.end());
   }

@@ -513,7 +513,6 @@ class DeviceEngine final : public SlotEngine<DeviceSlot> {
     std::vector<WbmEnv> envs;
     envs.reserve(last - first);
     std::vector<std::vector<std::vector<MatchRecord>>> found(last - first);
-    std::vector<std::unique_ptr<WarpTask>> tasks;
     for (size_t i = first; i < last; ++i) {
       DeviceSlot& slot = SlotFor(i, *report);
       WbmEnv& env = envs.emplace_back(
@@ -523,11 +522,15 @@ class DeviceEngine final : public SlotEngine<DeviceSlot> {
         env.emitted = &emitted;
         env.overflowed = &overflowed;
       }
-      for (auto& t : MakeWbmTasks(env, seeds, &found[i - first])) {
-        tasks.push_back(std::move(t));
-      }
+      found[i - first].resize(seeds.size());
     }
-    const DeviceStats stats = device_.Launch(std::move(tasks));
+    // Launch index k is query k / |seeds|'s task for seed k % |seeds|.
+    const DeviceStats stats =
+        device_.Launch(envs.size() * seeds.size(), [&](size_t k) {
+          const size_t q = k / seeds.size();
+          const size_t s = k % seeds.size();
+          return MakeWbmTask(envs[q], seeds[s], &found[q][s]);
+        });
     const bool over = overflowed.load(std::memory_order_relaxed);
     for (size_t i = first; i < last; ++i) {
       QueryReport& qr = report->queries[i];

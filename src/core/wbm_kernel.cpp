@@ -319,6 +319,13 @@ class WbmTask : public WarpTask {
 
 }  // namespace
 
+std::unique_ptr<WarpTask> MakeWbmTask(const WbmEnv& env,
+                                      const SeedEdge& seed,
+                                      std::vector<MatchRecord>* out) {
+  return std::make_unique<WbmTask>(&env, seed, out, 0,
+                                   env.qctx->plans.size());
+}
+
 std::vector<std::unique_ptr<WarpTask>> MakeWbmTasks(
     const WbmEnv& env, const std::vector<SeedEdge>& seeds,
     std::vector<std::vector<MatchRecord>>* out_slots) {
@@ -326,15 +333,14 @@ std::vector<std::unique_ptr<WarpTask>> MakeWbmTasks(
   std::vector<std::unique_ptr<WarpTask>> tasks;
   tasks.reserve(seeds.size());
   for (size_t i = 0; i < seeds.size(); ++i) {
-    tasks.push_back(std::make_unique<WbmTask>(
-        &env, seeds[i], &(*out_slots)[i], 0, env.qctx->plans.size()));
+    tasks.push_back(MakeWbmTask(env, seeds[i], &(*out_slots)[i]));
   }
   return tasks;
 }
 
 WbmResult RunWbmKernel(Device& device, const WbmEnv& env,
                        const std::vector<SeedEdge>& seeds) {
-  std::vector<std::vector<MatchRecord>> slots;
+  std::vector<std::vector<MatchRecord>> slots(seeds.size());
   WbmResult result;
   std::atomic<size_t> emitted{0};
   std::atomic<bool> overflowed{false};
@@ -343,8 +349,9 @@ WbmResult RunWbmKernel(Device& device, const WbmEnv& env,
     env_with_cap.emitted = &emitted;
     env_with_cap.overflowed = &overflowed;
   }
-  result.stats =
-      device.Launch(MakeWbmTasks(env_with_cap, seeds, &slots));
+  result.stats = device.Launch(seeds.size(), [&](size_t i) {
+    return MakeWbmTask(env_with_cap, seeds[i], &slots[i]);
+  });
   result.overflowed =
       env_with_cap.overflowed &&
       env_with_cap.overflowed->load(std::memory_order_relaxed);

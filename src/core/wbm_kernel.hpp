@@ -60,10 +60,17 @@ struct WbmEnv {
   std::atomic<bool>* overflowed = nullptr;
 };
 
-/// Builds one WBM warp task per seed, emitting into out_slots[i]
-/// (preallocated by the caller; one slot per seed; intra-block steals
-/// share their victim's slot, which is safe because a block runs on one
-/// host thread).
+/// Builds the WBM warp task for one seed, emitting into `out` (one slot
+/// per seed, preallocated by the caller; intra-block steals share their
+/// victim's slot, which is safe because a block runs on one host thread).
+/// Only reads `env` and `seed`, so it may serve as a Device::Launch
+/// factory.  `env` must outlive the task.
+std::unique_ptr<WarpTask> MakeWbmTask(const WbmEnv& env,
+                                      const SeedEdge& seed,
+                                      std::vector<MatchRecord>* out);
+
+/// Builds one WBM warp task per seed on the calling thread, emitting into
+/// out_slots[i] (assigned here, one slot per seed).
 std::vector<std::unique_ptr<WarpTask>> MakeWbmTasks(
     const WbmEnv& env, const std::vector<SeedEdge>& seeds,
     std::vector<std::vector<MatchRecord>>* out_slots);

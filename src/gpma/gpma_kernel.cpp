@@ -136,39 +136,39 @@ uint32_t ResolveCachedLayers(const GpmaKernelOptions& options,
   return layers;
 }
 
-std::vector<std::unique_ptr<WarpTask>> MakeGpmaUpdateTasks(
-    const UpdatePlan& plan, const GpmaKernelOptions& options) {
-  std::vector<std::unique_ptr<WarpTask>> tasks;
-  uint32_t cached = ResolveCachedLayers(options, plan.tree_height);
-  // Locate work is spread across warps in 256-search chunks so the
-  // device's parallelism is exercised the way GPMA assigns one thread
-  // per update.
-  uint64_t searches = plan.locate_searches;
-  while (searches > 0) {
-    uint64_t chunk = std::min<uint64_t>(searches, 256);
-    tasks.push_back(
-        std::make_unique<LocateTask>(chunk, plan.tree_height, cached));
-    searches -= chunk;
-  }
-  for (const SegmentOp& op : plan.ops) {
-    tasks.push_back(
-        std::make_unique<SegmentTask>(op, options.use_cooperative_groups));
-  }
-  if (plan.resized_entries > 0) {
-    tasks.push_back(std::make_unique<ResizeTask>(plan.resized_entries));
-  }
-  // Size-class reallocations are straight coalesced copies of the
-  // segment's live prefix — same traffic shape as a resize move.
-  if (plan.class_realloc_entries > 0) {
-    tasks.push_back(
-        std::make_unique<ResizeTask>(plan.class_realloc_entries));
-  }
-  return tasks;
-}
-
 DeviceStats SimulateGpmaUpdate(Device& device, const UpdatePlan& plan,
                                const GpmaKernelOptions& options) {
-  return device.Launch(MakeGpmaUpdateTasks(plan, options));
+  const uint32_t cached = ResolveCachedLayers(options, plan.tree_height);
+  // Task order: the locate chunks, then one task per segment op, then the
+  // resize and size-class realloc moves.  Locate work is spread across
+  // warps in 256-search chunks so the device's parallelism is exercised
+  // the way GPMA assigns one thread per update.
+  constexpr uint64_t kLocateChunk = 256;
+  const size_t locates = static_cast<size_t>(
+      (plan.locate_searches + kLocateChunk - 1) / kLocateChunk);
+  const size_t segments = locates + plan.ops.size();
+  // Size-class reallocations are straight coalesced copies of the
+  // segment's live prefix — same traffic shape as a resize move.
+  std::vector<uint64_t> moves;
+  if (plan.resized_entries > 0) moves.push_back(plan.resized_entries);
+  if (plan.class_realloc_entries > 0) {
+    moves.push_back(plan.class_realloc_entries);
+  }
+  return device.Launch(
+      segments + moves.size(), [&](size_t i) -> std::unique_ptr<WarpTask> {
+        if (i < locates) {
+          const uint64_t first = i * kLocateChunk;
+          const uint64_t chunk =
+              std::min(plan.locate_searches - first, kLocateChunk);
+          return std::make_unique<LocateTask>(chunk, plan.tree_height,
+                                              cached);
+        }
+        if (i < segments) {
+          return std::make_unique<SegmentTask>(
+              plan.ops[i - locates], options.use_cooperative_groups);
+        }
+        return std::make_unique<ResizeTask>(moves[i - segments]);
+      });
 }
 
 }  // namespace bdsm

@@ -11,9 +11,6 @@
 ///   layers hit shared memory instead of global (§V-C optimization).
 #pragma once
 
-#include <memory>
-#include <vector>
-
 #include "gpma/update_plan.hpp"
 #include "gpusim/device.hpp"
 
@@ -43,11 +40,7 @@ struct GpmaKernelOptions {
 uint32_t ResolveCachedLayers(const GpmaKernelOptions& options,
                              uint32_t tree_height);
 
-/// Builds the warp tasks pricing `plan`.
-std::vector<std::unique_ptr<WarpTask>> MakeGpmaUpdateTasks(
-    const UpdatePlan& plan, const GpmaKernelOptions& options);
-
-/// Convenience: launch the priced kernel on `device` and return stats.
+/// Launches the warp tasks pricing `plan` on `device` and returns stats.
 DeviceStats SimulateGpmaUpdate(Device& device, const UpdatePlan& plan,
                                const GpmaKernelOptions& options = {});
 

@@ -23,8 +23,8 @@ BlockScheduler::BlockScheduler(const DeviceConfig& cfg, uint32_t block_id,
       block_id_(block_id),
       allocator_(allocator),
       launch_timer_(launch_timer),
-      shared_(cfg.shared_mem_bytes) {
-  for (auto& t : tasks) queue_.push_back(std::move(t));
+      shared_(cfg.shared_mem_bytes),
+      queue_(std::move(tasks)) {
   warps_.resize(cfg_.warps_per_block);
   for (uint32_t w = 0; w < cfg_.warps_per_block; ++w) {
     warps_[w].ctx = std::make_unique<WarpContext>(cfg_, &shared_, allocator_,
@@ -32,10 +32,18 @@ BlockScheduler::BlockScheduler(const DeviceConfig& cfg, uint32_t block_id,
   }
 }
 
+void BlockScheduler::Assign(WarpSlot* slot, std::unique_ptr<WarpTask> task) {
+  slot->task = std::move(task);
+  Refresh(slot);
+}
+
+void BlockScheduler::Refresh(WarpSlot* slot) {
+  slot->rem = slot->task ? slot->task->EstimateRemaining() : 0;
+}
+
 bool BlockScheduler::PopTask(WarpSlot* slot) {
-  if (queue_.empty()) return false;
-  slot->task = std::move(queue_.front());
-  queue_.pop_front();
+  if (queue_head_ == queue_.size()) return false;
+  Assign(slot, std::move(queue_[queue_head_++]));
   return true;
 }
 
@@ -50,27 +58,28 @@ bool BlockScheduler::TrySteal(uint32_t thief) {
   uint64_t best = kMinStealRemaining - 1;
   for (uint32_t w = 0; w < cfg_.warps_per_block; ++w) {
     if (w == thief || !warps_[w].task) continue;
-    uint64_t rem = warps_[w].task->EstimateRemaining();
-    if (rem > best) {
-      best = rem;
+    if (warps_[w].rem > best) {
+      best = warps_[w].rem;
       victim = w;
     }
   }
   if (victim == cfg_.warps_per_block) return false;
 
-  std::unique_ptr<WarpTask> stolen = warps_[victim].task->StealHalf();
+  WarpSlot& vs = warps_[victim];
+  std::unique_ptr<WarpTask> stolen = vs.task->StealHalf();
+  Refresh(&vs);
   if (!stolen) return false;
   // Causality: the thief observed the victim's board state, so it cannot
   // be ahead of the victim when it starts on the stolen work.
-  ts.clock = std::max(ts.clock, warps_[victim].clock);
-  ts.task = std::move(stolen);
+  ts.clock = std::max(ts.clock, vs.clock);
+  Assign(&ts, std::move(stolen));
   ++steal_events_;
   return true;
 }
 
 void BlockScheduler::TryDonate(uint32_t donor) {
   WarpSlot& ds = warps_[donor];
-  if (!ds.task || ds.task->EstimateRemaining() < kMinStealRemaining) return;
+  if (!ds.task || ds.rem < kMinStealRemaining) return;
   // Scan the idle-flag array (paper: "periodically, warps with unfinished
   // workloads scan the array to find an idle warp").
   ds.ctx->ChargeShared(cfg_.warps_per_block);
@@ -78,8 +87,9 @@ void BlockScheduler::TryDonate(uint32_t donor) {
   for (uint32_t w = 0; w < cfg_.warps_per_block; ++w) {
     if (w == donor || warps_[w].task) continue;
     std::unique_ptr<WarpTask> half = ds.task->StealHalf();
+    Refresh(&ds);
     if (!half) return;
-    warps_[w].task = std::move(half);
+    Assign(&warps_[w], std::move(half));
     warps_[w].clock = std::max(warps_[w].clock, ds.clock);
     ++steal_events_;
     return;
@@ -134,6 +144,7 @@ BlockResult BlockScheduler::Run() {
       slot.task.reset();
       ++tasks_executed_;
     }
+    Refresh(&slot);
 
     if (cfg_.steal_policy == StealPolicy::kPassive && slot.task &&
         slot.steps_since_poll >= kPassivePollInterval) {

@@ -7,11 +7,12 @@
 /// charges dictate.  Work stealing (paper §V-A) happens here: the board
 /// that hardware keeps in shared memory is the sibling warps' advertised
 /// `EstimateRemaining()`, and scans of it are billed as shared-memory
-/// traffic.
+/// traffic.  The scheduler keeps that board as a cached value per warp,
+/// refreshed whenever the warp's task changes (pop, step, steal, donate),
+/// so a scan reads plain integers instead of calling into every task.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -54,11 +55,17 @@ class BlockScheduler {
     uint64_t clock = 0;       ///< local time in ticks
     uint64_t busy = 0;        ///< ticks spent executing Step()
     uint64_t steps_since_poll = 0;
+    uint64_t rem = 0;         ///< task's EstimateRemaining(); 0 when idle
     std::unique_ptr<WarpContext> ctx;
   };
 
   // Pops the next queued task into `slot`; returns false if queue empty.
   bool PopTask(WarpSlot* slot);
+  // Installs `task` (possibly null) in `slot` and refreshes its board
+  // entry.
+  static void Assign(WarpSlot* slot, std::unique_ptr<WarpTask> task);
+  // Refreshes `slot`'s board entry after its task changed in place.
+  static void Refresh(WarpSlot* slot);
   // Active stealing: `thief` pulls half the heaviest sibling's work.
   bool TrySteal(uint32_t thief);
   // Passive stealing: busy warp `donor` pushes half its work to an idle
@@ -70,7 +77,8 @@ class BlockScheduler {
   DeviceAllocator* allocator_;
   const class Timer* launch_timer_;
   SharedMemory shared_;
-  std::deque<std::unique_ptr<WarpTask>> queue_;
+  std::vector<std::unique_ptr<WarpTask>> queue_;
+  size_t queue_head_ = 0;   ///< next task to pop from queue_
   std::vector<WarpSlot> warps_;
   uint64_t steal_events_ = 0;
   uint64_t tasks_executed_ = 0;

@@ -15,23 +15,20 @@ Device::Device(DeviceConfig cfg, uint32_t host_threads)
 }
 
 DeviceStats Device::Launch(std::vector<std::unique_ptr<WarpTask>> tasks) {
+  return Launch(tasks.size(), [&](size_t i) { return std::move(tasks[i]); });
+}
+
+DeviceStats Device::Launch(size_t n, const TaskFactory& make) {
   DeviceStats total;
-  if (tasks.empty()) return total;
+  if (n == 0) return total;
 
   // One wave of resident blocks; grids larger than the device are folded
   // into the per-block queues (persistent-thread style), which is how the
   // makespan accounts for multi-wave grids too.
   const uint64_t warps_needed =
-      (tasks.size() + cfg_.warps_per_block - 1) / cfg_.warps_per_block;
+      (n + cfg_.warps_per_block - 1) / cfg_.warps_per_block;
   const uint32_t num_blocks = static_cast<uint32_t>(
       std::min<uint64_t>(cfg_.num_sms, warps_needed));
-
-  // Static grid-stride assignment keeps every block's queue — and hence
-  // the whole simulation — deterministic under host-thread parallelism.
-  std::vector<std::vector<std::unique_ptr<WarpTask>>> per_block(num_blocks);
-  for (size_t i = 0; i < tasks.size(); ++i) {
-    per_block[i % num_blocks].push_back(std::move(tasks[i]));
-  }
 
   std::vector<BlockResult> results(num_blocks);
   std::atomic<uint32_t> next_block{0};
@@ -40,7 +37,14 @@ DeviceStats Device::Launch(std::vector<std::unique_ptr<WarpTask>> tasks) {
     while (true) {
       uint32_t b = next_block.fetch_add(1);
       if (b >= num_blocks) return;
-      BlockScheduler sched(cfg_, b, &allocator_, std::move(per_block[b]),
+      // Static grid-stride assignment keeps every block's queue — and
+      // hence the whole simulation — deterministic under host-thread
+      // parallelism.  The queue is built here, on the thread that runs
+      // and frees it.
+      std::vector<std::unique_ptr<WarpTask>> queue;
+      queue.reserve((n - b + num_blocks - 1) / num_blocks);
+      for (size_t i = b; i < n; i += num_blocks) queue.push_back(make(i));
+      BlockScheduler sched(cfg_, b, &allocator_, std::move(queue),
                            &launch_timer);
       results[b] = sched.Run();
     }

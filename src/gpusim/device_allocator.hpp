@@ -45,17 +45,28 @@ class DeviceAllocator {
     else spilled_ = live_ - capacity_;
   }
 
-  uint64_t live_bytes() const { return live_; }
-  uint64_t peak_bytes() const { return peak_; }
+  // Readers take the lock too: kernels sample usage while other blocks'
+  // host threads allocate and free.
+  uint64_t live_bytes() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return live_;
+  }
+  uint64_t peak_bytes() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return peak_;
+  }
   uint64_t capacity() const { return capacity_; }
-  uint64_t total_spill_traffic() const { return total_spill_traffic_; }
+  uint64_t total_spill_traffic() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return total_spill_traffic_;
+  }
 
   /// Device-memory occupancy in percent (can exceed 100 when spilling —
   /// Fig. 5(a) clamps at 100).
   double UsagePercent() const {
-    return capacity_ == 0 ? 0.0
-                          : 100.0 * static_cast<double>(live_) /
-                                static_cast<double>(capacity_);
+    if (capacity_ == 0) return 0.0;
+    return 100.0 * static_cast<double>(live_bytes()) /
+           static_cast<double>(capacity_);
   }
 
  private:

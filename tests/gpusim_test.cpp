@@ -1,10 +1,15 @@
 /// Tests for the SIMT device simulator: charging/cost model, allocator
-/// spill accounting, block scheduling determinism, work stealing
-/// (active + passive) semantics and utilization effects.
+/// spill accounting, block scheduling determinism (across runs, host
+/// thread counts and launch forms), thread-affine task lifetimes, work
+/// stealing (active + passive) semantics and utilization effects.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <mutex>
 #include <numeric>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "gpusim/coop_groups.hpp"
 #include "gpusim/device.hpp"
@@ -143,6 +148,129 @@ TEST(DeviceTest, DeterministicAcrossRuns) {
   EXPECT_EQ(a.total_busy_ticks, b.total_busy_ticks);
   EXPECT_EQ(a.steal_events, b.steal_events);
   EXPECT_EQ(a.global_transactions, b.global_transactions);
+}
+
+/// Units of the skewed launch below: a few heavy tasks among light
+/// ones, so both stealing policies move work between warps.
+uint64_t SkewedUnits(size_t i) { return i % 7 == 0 ? 300 + i : 3 + i % 5; }
+constexpr size_t kSkewedTasks = 40;
+
+DeviceConfig SkewedConfig(StealPolicy policy) {
+  DeviceConfig cfg = SmallConfig(policy);
+  cfg.num_sms = 4;
+  return cfg;
+}
+
+TEST(DeviceTest, StatsIndependentOfHostThreads) {
+  for (StealPolicy policy : {StealPolicy::kActive, StealPolicy::kPassive}) {
+    std::vector<DeviceStats> stats;
+    for (uint32_t threads : {1u, 2u, 4u}) {
+      Device dev(SkewedConfig(policy), threads);
+      std::atomic<uint64_t> done{0};
+      stats.push_back(dev.Launch(kSkewedTasks, [&](size_t i) {
+        return std::make_unique<BurnTask>(SkewedUnits(i), 4, &done);
+      }));
+    }
+    EXPECT_GT(stats[0].steal_events, 0u);
+    EXPECT_EQ(stats[0], stats[1]) << "1 vs 2 host threads";
+    EXPECT_EQ(stats[0], stats[2]) << "1 vs 4 host threads";
+  }
+}
+
+// The skewed launch's full schedule, pinned: the steal board's cached
+// estimates must steer every steal exactly as rescanning the tasks does.
+TEST(DeviceTest, SkewedLaunchSchedulePinned) {
+  struct Pinned {
+    StealPolicy policy;
+    uint64_t makespan, warp_ticks, steals, tasks, shared;
+  };
+  const Pinned pinned[] = {
+      {StealPolicy::kActive, 1543, 24688, 16, 56, 56},
+      {StealPolicy::kPassive, 1659, 26544, 31, 71, 121},
+  };
+  for (const Pinned& p : pinned) {
+    Device dev(SkewedConfig(p.policy), 1);
+    std::atomic<uint64_t> done{0};
+    const DeviceStats s = dev.Launch(kSkewedTasks, [&](size_t i) {
+      return std::make_unique<BurnTask>(SkewedUnits(i), 4, &done);
+    });
+    EXPECT_EQ(s.makespan_ticks, p.makespan);
+    EXPECT_EQ(s.total_busy_ticks, 18693u);
+    EXPECT_EQ(s.total_warp_ticks, p.warp_ticks);
+    EXPECT_EQ(s.steal_events, p.steals);
+    EXPECT_EQ(s.tasks_executed, p.tasks);
+    EXPECT_EQ(s.global_transactions, 2077u);
+    EXPECT_EQ(s.shared_accesses, p.shared);
+  }
+}
+
+TEST(DeviceTest, VectorLaunchMatchesFactoryLaunch) {
+  for (uint32_t threads : {1u, 4u}) {
+    std::atomic<uint64_t> done{0};
+    Device by_factory(SkewedConfig(StealPolicy::kActive), threads);
+    const DeviceStats a = by_factory.Launch(kSkewedTasks, [&](size_t i) {
+      return std::make_unique<BurnTask>(SkewedUnits(i), 4, &done);
+    });
+    Device by_vector(SkewedConfig(StealPolicy::kActive), threads);
+    std::vector<std::unique_ptr<WarpTask>> tasks;
+    for (size_t i = 0; i < kSkewedTasks; ++i) {
+      tasks.push_back(std::make_unique<BurnTask>(SkewedUnits(i), 4, &done));
+    }
+    const DeviceStats b = by_vector.Launch(std::move(tasks));
+    EXPECT_GT(a.steal_events, 0u);
+    EXPECT_EQ(a, b) << threads << " host threads";
+  }
+}
+
+/// Records the host thread that built it and, on destruction, the pair
+/// (constructing thread, destroying thread) — for itself and for every
+/// clone StealHalf makes.
+class AffinityTask : public WarpTask {
+ public:
+  struct Log {
+    std::mutex mu;
+    std::vector<std::pair<std::thread::id, std::thread::id>> lifetimes;
+  };
+
+  AffinityTask(uint64_t units, Log* log)
+      : units_(units), log_(log), built_on_(std::this_thread::get_id()) {}
+
+  ~AffinityTask() override {
+    std::lock_guard<std::mutex> lock(log_->mu);
+    log_->lifetimes.emplace_back(built_on_, std::this_thread::get_id());
+  }
+
+  bool Step(WarpContext& ctx) override {
+    ctx.ChargeCompute(32);
+    return --units_ > 0;
+  }
+
+  uint64_t EstimateRemaining() const override { return units_; }
+
+  std::unique_ptr<WarpTask> StealHalf() override {
+    if (units_ < 2) return nullptr;
+    const uint64_t half = units_ / 2;
+    units_ -= half;
+    return std::make_unique<AffinityTask>(half, log_);
+  }
+
+ private:
+  uint64_t units_;
+  Log* log_;
+  std::thread::id built_on_;
+};
+
+TEST(DeviceTest, TasksLiveAndDieOnTheirBlocksThread) {
+  AffinityTask::Log log;
+  Device dev(SkewedConfig(StealPolicy::kActive), /*host_threads=*/2);
+  const DeviceStats stats = dev.Launch(kSkewedTasks, [&](size_t i) {
+    return std::make_unique<AffinityTask>(SkewedUnits(i), &log);
+  });
+  EXPECT_GT(stats.steal_events, 0u) << "clones must be covered too";
+  ASSERT_EQ(log.lifetimes.size(), kSkewedTasks + stats.steal_events);
+  for (const auto& [built, destroyed] : log.lifetimes) {
+    EXPECT_EQ(built, destroyed);
+  }
 }
 
 TEST(DeviceTest, ActiveStealingBalancesSkew) {
