@@ -42,13 +42,13 @@ int main(int argc, char** argv) {
     for (const char* mix : {"insert", "churn"}) {
       bool churn = mix[0] == 'c';
       for (size_t ops : {32, 128, 512, 2048}) {
-        UpdateStreamGenerator gen(scale.seed + ops);
         size_t elabels = spec.edge_labels > 1 ? spec.edge_labels : 0;
         // Churn = delete-heavy 1:3 mix, the regime where the deferred
         // delete-phase rebalancing earns its keep.
+        workload::StreamSpec stream =
+            workload::PreferentialSpec(ops, churn ? 0.25 : 1, elabels);
         UpdateBatch batch =
-            churn ? SanitizeBatch(g, gen.MakeMixed(g, ops, 1, 3, elabels))
-                  : gen.MakeInsertions(g, ops, elabels);
+            workload::StreamGenerator(stream, scale.seed + ops).Next(g);
 
         Gpma gpma(32);
         gpma.BuildFrom(g);

@@ -37,9 +37,9 @@ UpdateBatch MakeRateBatch(const LabeledGraph& g, const DatasetSpec& spec,
       std::min<size_t>(g.NumEdges(), scale.max_batch_ops * 10));
   size_t count = std::min<size_t>(scale.max_batch_ops,
                                   static_cast<size_t>(rate * base));
-  UpdateStreamGenerator gen(seed);
   size_t elabels = spec.edge_labels > 1 ? spec.edge_labels : 0;
-  return gen.MakeInsertions(g, count, elabels);
+  workload::StreamSpec growth = workload::PreferentialSpec(count, 1, elabels);
+  return workload::StreamGenerator(growth, seed).Next(g);
 }
 
 CellResult RunEngineCell(const std::string& engine_name,

@@ -36,7 +36,7 @@
 #include "core/engine.hpp"
 #include "graph/datasets.hpp"
 #include "graph/query_extractor.hpp"
-#include "graph/update_stream.hpp"
+#include "workload/stream_gen.hpp"
 
 namespace bdsm::bench {
 

@@ -44,10 +44,13 @@ int main(int argc, char** argv) {
     printf("%-8s | %12s %12s %12s %12s %12s\n", "density", "TF", "SYM",
            "RF", "CL", "GAMMA");
     for (auto [name, k] : levels) {
-      UpdateStreamGenerator gen(scale.seed + k);
-      UpdateBatch batch = gen.MakeCoreInsertions(
-          g, scale.max_batch_ops / 2, k,
+      workload::StreamSpec core = workload::PreferentialSpec(
+          scale.max_batch_ops / 2, 1,
           spec.edge_labels > 1 ? spec.edge_labels : 0);
+      core.kind = workload::StreamKind::kCore;
+      core.core_k = k;
+      UpdateBatch batch =
+          workload::StreamGenerator(core, scale.seed + k).Next(g);
       JsonContext("dataset", "LS");
       JsonContext("structure", ToString(cls));
       JsonContext("density", name);

@@ -21,10 +21,10 @@ int main(int argc, char** argv) {
   for (const char* ds : {"GH", "ST"}) {
     const DatasetSpec& spec = DatasetByName(ds);
     const LabeledGraph& g = CachedDataset(spec.id);
-    UpdateStreamGenerator gen(scale.seed + 5);
-    UpdateBatch batch = SanitizeBatch(
-        g, gen.MakeMixed(g, scale.max_batch_ops, 2, 1,
-                         spec.edge_labels > 1 ? spec.edge_labels : 0));
+    size_t elabels = spec.edge_labels > 1 ? spec.edge_labels : 0;
+    workload::StreamSpec mix =
+        workload::PreferentialSpec(scale.max_batch_ops, 2.0 / 3, elabels);
+    UpdateBatch batch = workload::StreamGenerator(mix, scale.seed + 5).Next(g);
     printf("--- %s ---\n", ds);
     printf("%-7s | %12s %12s %12s %12s %12s\n", "class", "TF", "SYM", "RF",
            "CL", "GAMMA");

@@ -21,8 +21,8 @@
 #include "gpma/gpma.hpp"
 #include "gpusim/device.hpp"
 #include "graph/graph_generator.hpp"
-#include "graph/update_stream.hpp"
 #include "util/timer.hpp"
+#include "workload/stream_gen.hpp"
 
 namespace bdsm {
 namespace {
@@ -60,9 +60,9 @@ BENCHMARK(BM_GpmaBuild);
 
 void BM_GpmaBatchInsert(benchmark::State& state) {
   LabeledGraph& g = BenchGraph();
-  UpdateStreamGenerator gen(11);
-  UpdateBatch batch =
-      gen.MakeInsertions(g, static_cast<size_t>(state.range(0)), 0);
+  workload::StreamSpec growth =
+      workload::PreferentialSpec(static_cast<size_t>(state.range(0)), 1);
+  UpdateBatch batch = workload::StreamGenerator(growth, 11).Next(g);
   for (auto _ : state) {
     state.PauseTiming();
     Gpma gpma(32);
@@ -119,8 +119,8 @@ void BM_EncoderDirtyUpdate(benchmark::State& state) {
   QueryGraph q = BenchQuery();
   CandidateEncoder enc(q);
   enc.BuildAll(g);
-  UpdateStreamGenerator gen(13);
-  const UpdateBatch insert = gen.MakeInsertions(g, 128, 0);
+  const UpdateBatch insert =
+      workload::StreamGenerator(workload::PreferentialSpec(128, 1), 13).Next(g);
   UpdateBatch remove = insert;
   for (UpdateOp& op : remove) op.is_insert = false;
   // Alternate the batch and its inverse on graph and encoder alike, so
@@ -153,8 +153,8 @@ void BM_GammaEngineUpdatePhase(benchmark::State& state) {
   const LabeledGraph& g = bench::CachedDataset(DatasetId::kAmazon);
   auto engine = MakeEngine("gamma", g);
   for (size_t i = 0; i < num_queries; ++i) engine->AddQuery(BenchQuery());
-  UpdateStreamGenerator gen(23);
-  const UpdateBatch insert = gen.MakeInsertions(g, 256, 0);
+  const UpdateBatch insert =
+      workload::StreamGenerator(workload::PreferentialSpec(256, 1), 23).Next(g);
   UpdateBatch remove = insert;
   for (UpdateOp& op : remove) op.is_insert = false;
   bool inserted = false;
@@ -187,9 +187,9 @@ void BM_EngineProcessBatch(benchmark::State& state) {
   state.SetLabel(name);
   LabeledGraph& g = BenchGraph();
   QueryGraph q = BenchQuery();
-  UpdateStreamGenerator gen(17);
-  UpdateBatch batch =
-      gen.MakeInsertions(g, static_cast<size_t>(state.range(1)), 0);
+  workload::StreamSpec growth =
+      workload::PreferentialSpec(static_cast<size_t>(state.range(1)), 1);
+  UpdateBatch batch = workload::StreamGenerator(growth, 17).Next(g);
   for (auto _ : state) {
     state.PauseTiming();
     auto engine = MakeEngine(name, g);
@@ -207,8 +207,8 @@ BENCHMARK(BM_EngineProcessBatch)
 void BM_EngineStreamingSink(benchmark::State& state) {
   LabeledGraph& g = BenchGraph();
   QueryGraph q = BenchQuery();
-  UpdateStreamGenerator gen(19);
-  UpdateBatch batch = gen.MakeInsertions(g, 128, 0);
+  UpdateBatch batch =
+      workload::StreamGenerator(workload::PreferentialSpec(128, 1), 19).Next(g);
   struct CountingSink final : ResultSink {
     size_t n = 0;
     void OnMatch(QueryId, const MatchRecord&) override { ++n; }
@@ -345,10 +345,10 @@ void RunUpdatePathProfile() {
     LabeledGraph g = ProfileGraph();
     Gpma gpma(32);
     gpma.BuildFrom(g);
-    UpdateStreamGenerator gen(101);
+    workload::StreamGenerator gen(workload::PreferentialSpec(256, 1, 2), 101);
     PlanTotals t;
     for (int round = 0; round < 40; ++round) {
-      UpdateBatch batch = gen.MakeInsertions(g, 256, 2);
+      UpdateBatch batch = gen.Next(g);
       t.Absorb(gpma.ApplyBatch(batch), batch.size());
       ApplyBatch(&g, batch);
     }
@@ -360,11 +360,11 @@ void RunUpdatePathProfile() {
     LabeledGraph g = ProfileGraph();
     Gpma gpma(32);
     gpma.BuildFrom(g);
-    UpdateStreamGenerator gen(103);
+    workload::StreamGenerator gen(workload::PreferentialSpec(256, 0.35, 2),
+                                  103);
     PlanTotals t;
     for (int round = 0; round < 64; ++round) {
-      UpdateBatch batch =
-          SanitizeBatch(g, gen.MakeMixed(g, 256, 7, 13, 2));
+      UpdateBatch batch = gen.Next(g);
       t.Absorb(gpma.ApplyBatch(batch), batch.size());
       ApplyBatch(&g, batch);
     }
@@ -376,13 +376,13 @@ void RunUpdatePathProfile() {
     LabeledGraph g = ProfileGraph();
     Gpma gpma(32);
     gpma.BuildFrom(g);
-    UpdateStreamGenerator gen(107);
+    workload::StreamGenerator gen(workload::PreferentialSpec(128, 0), 107);
     PlanTotals t;
     UpdateBatch deleted;
     for (int round = 0; round < 48; ++round) {
       UpdateBatch batch;
       if (round % 2 == 0) {
-        batch = gen.MakeDeletions(g, 128);
+        batch = gen.Next(g);
         deleted = batch;
       } else {
         for (const UpdateOp& op : deleted) {

@@ -96,10 +96,10 @@ int main(int argc, char** argv) {
     for (size_t i = 0; i < 8; ++i) ids.push_back(engine->AddQuery(pool[i]));
     uint64_t before = ReportTicks(engine->ProcessBatch(batch));
     for (size_t i = 0; i < 8; i += 2) engine->RemoveQuery(ids[i]);
-    UpdateStreamGenerator gen(scale.seed + 3);
-    UpdateBatch batch2 = gen.MakeInsertions(
-        engine->host_graph(), batch.size(),
-        spec.edge_labels > 1 ? spec.edge_labels : 0);
+    workload::StreamSpec growth = workload::PreferentialSpec(
+        batch.size(), 1, spec.edge_labels > 1 ? spec.edge_labels : 0);
+    UpdateBatch batch2 = workload::StreamGenerator(growth, scale.seed + 3)
+                             .Next(engine->host_graph());
     uint64_t after = ReportTicks(engine->ProcessBatch(batch2));
     printf("\nchurn: 8 -> %zu live queries mid-stream; fused makespan "
            "%llu -> %llu ticks\n",

@@ -68,6 +68,7 @@
 #include "graph/update_stream.hpp"
 #include "persist/checkpoint.hpp"
 #include "workload/scenario_runner.hpp"
+#include "workload/stream_gen.hpp"
 
 using namespace bdsm;
 
@@ -273,15 +274,10 @@ int RunDemo(const std::string& engine_name) {
 
   auto engine = MakeEngine(engine_name, g);
   QueryId qid = engine->AddQuery(*q);
-  UpdateStreamGenerator gen(13);
-  std::vector<UpdateBatch> stream;
-  LabeledGraph evolving = g;
-  for (int i = 0; i < 3; ++i) {
-    UpdateBatch b =
-        SanitizeBatch(evolving, gen.MakeMixed(evolving, 200, 2, 1, 0));
-    ApplyBatch(&evolving, b);
-    stream.push_back(std::move(b));
-  }
+  workload::StreamSpec spec = workload::PreferentialSpec(200, 2.0 / 3);
+  spec.num_batches = 3;
+  std::vector<UpdateBatch> stream =
+      workload::StreamGenerator(spec, 13).Generate(g);
   StreamPipeline pipe(engine.get());
   std::vector<BatchReport> reports;
   PipelineStats stats = pipe.Run(stream, &reports);
@@ -448,10 +444,10 @@ int main(int argc, char** argv) {
   printf("graph: %zu vertices, %zu edges | query: %s\n", g.NumVertices(),
          g.NumEdges(), q.ToString().c_str());
 
-  UpdateStreamGenerator gen(seed);
   size_t count = static_cast<size_t>(rate * double(g.NumEdges()));
-  UpdateBatch batch = gen.MakeInsertions(
-      g, count, g.EdgeLabelAlphabet() > 1 ? g.EdgeLabelAlphabet() : 0);
+  workload::StreamSpec growth = workload::PreferentialSpec(
+      count, 1, g.EdgeLabelAlphabet() > 1 ? g.EdgeLabelAlphabet() : 0);
+  UpdateBatch batch = workload::StreamGenerator(growth, seed).Next(g);
   printf("batch: %zu insertions (%.1f%% of |E|)\n", batch.size(),
          100.0 * rate);
 

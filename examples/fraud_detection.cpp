@@ -29,7 +29,7 @@
 #include "core/engine.hpp"
 #include "core/match_store.hpp"
 #include "graph/graph_generator.hpp"
-#include "graph/update_stream.hpp"
+#include "workload/stream_gen.hpp"
 
 using namespace bdsm;
 
@@ -110,7 +110,7 @@ int main(int argc, char** argv) {
   printf("initial open diamond alerts: %zu\n",
          alerts.StoreFor(q_diamond).LiveCount());
 
-  UpdateStreamGenerator stream(1234);
+  workload::StreamGenerator stream(workload::PreferentialSpec(200, 0.9), 1234);
   QueryId q_fan = kInvalidQueryId;
   for (size_t b = 0; b < num_batches; ++b) {
     if (b == 2) {
@@ -128,9 +128,7 @@ int main(int argc, char** argv) {
              alerts.StoreFor(q_fan).LiveCount());
     }
     // 90% new transactions, 10% charge-backs.
-    UpdateBatch batch =
-        SanitizeBatch(engine->host_graph(),
-                      stream.MakeMixed(engine->host_graph(), 200, 9, 1, 0));
+    UpdateBatch batch = stream.Next(engine->host_graph());
     BatchReport report = engine->ProcessBatch(batch, batch_opts);
     const QueryReport& d = *report.Find(q_diamond);
     printf("batch %zu: %3zu updates -> +%zu alerts, -%zu retractions "

@@ -18,7 +18,7 @@
 
 #include "core/engine.hpp"
 #include "graph/graph_generator.hpp"
-#include "graph/update_stream.hpp"
+#include "workload/stream_gen.hpp"
 
 using namespace bdsm;
 
@@ -78,11 +78,10 @@ int main(int argc, char** argv) {
   QueryId gq = gamma->AddQuery(motif);
   QueryId cq = csm->AddQuery(motif);
 
-  UpdateStreamGenerator stream(55);
+  workload::StreamGenerator stream(
+      workload::PreferentialSpec(300, 2.0 / 3, /*elabels=*/2), 55);
   for (size_t b = 0; b < num_batches; ++b) {
-    UpdateBatch batch = SanitizeBatch(
-        gamma->host_graph(),
-        stream.MakeMixed(gamma->host_graph(), 300, 2, 1, /*elabels=*/2));
+    UpdateBatch batch = stream.Next(gamma->host_graph());
 
     BatchReport gr = gamma->ProcessBatch(batch);
     BatchReport cr = csm->ProcessBatch(batch);

@@ -244,9 +244,6 @@ struct EngineInfo {
   std::string canonical_spec;
   /// The clock its latencies are honest under.
   ClockDomain clock = ClockDomain::kHostWall;
-  /// False for engines that reject RemoveQuery (none today; wrappers
-  /// must forward their inner engine's answer).
-  bool supports_remove_query = true;
   /// Shard topology: 1 for single-instance engines, the shard count
   /// for the sharded serving layer.
   size_t num_shards = 1;

@@ -66,7 +66,6 @@ EngineInfo ShardedEngine::Describe() const {
   info.clock = inner.clock == ClockDomain::kModeledDevice
                    ? ClockDomain::kModeledDevice
                    : ClockDomain::kCriticalPath;
-  info.supports_remove_query = inner.supports_remove_query;
   info.tick_seconds = inner.tick_seconds;
   info.num_shards = shards_.size();
   info.inner_spec = inner.canonical_spec;

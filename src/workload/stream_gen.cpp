@@ -1,9 +1,9 @@
 #include "workload/stream_gen.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <unordered_set>
 
+#include "graph/kcore.hpp"
 #include "util/logging.hpp"
 
 namespace bdsm::workload {
@@ -16,6 +16,8 @@ const char* StreamKindName(StreamKind kind) {
     case StreamKind::kBurst: return "burst";
     case StreamKind::kChurn: return "churn";
     case StreamKind::kHotspot: return "hotspot";
+    case StreamKind::kPreferential: return "preferential";
+    case StreamKind::kCore: return "kcore";
   }
   return "?";
 }
@@ -32,8 +34,9 @@ bool StreamKindFromName(const std::string& name, StreamKind* out) {
 
 const std::vector<StreamKind>& AllStreamKinds() {
   static const std::vector<StreamKind> kKinds = {
-      StreamKind::kUniform, StreamKind::kPowerLaw, StreamKind::kTemporal,
-      StreamKind::kBurst,   StreamKind::kChurn,    StreamKind::kHotspot};
+      StreamKind::kUniform,      StreamKind::kPowerLaw, StreamKind::kTemporal,
+      StreamKind::kBurst,        StreamKind::kChurn,    StreamKind::kHotspot,
+      StreamKind::kPreferential, StreamKind::kCore};
   return kKinds;
 }
 
@@ -50,7 +53,28 @@ std::vector<VertexId> RandomPermutation(size_t n, Rng& rng) {
   return perm;
 }
 
+/// The vertices of the k-core of `g`, or of its densest non-empty core
+/// when the k-core is empty.
+std::vector<VertexId> CorePool(const LabeledGraph& g, size_t k) {
+  std::vector<uint32_t> core = CoreNumbers(g);
+  std::vector<VertexId> pool;
+  for (size_t kk = k; pool.empty() && kk > 0; --kk) {
+    for (VertexId v = 0; v < g.NumVertices(); ++v) {
+      if (core[v] >= kk) pool.push_back(v);
+    }
+  }
+  return pool;
+}
+
 }  // namespace
+
+StreamSpec PreferentialSpec(size_t ops, double insert_fraction,
+                            size_t elabels) {
+  return {.kind = StreamKind::kPreferential,
+          .ops_per_batch = ops,
+          .insert_fraction = insert_fraction,
+          .elabels = elabels};
+}
 
 template <typename PickFn>
 UpdateBatch StreamGenerator::SampleInsertions(const LabeledGraph& g,
@@ -90,119 +114,141 @@ UpdateBatch StreamGenerator::SampleDeletions(const LabeledGraph& g,
   return batch;
 }
 
-std::vector<UpdateBatch> StreamGenerator::Generate(const LabeledGraph& g) {
-  std::vector<UpdateBatch> stream;
-  stream.reserve(spec_.num_batches);
-  LabeledGraph evolving = g;  // private replica; caller's graph untouched
-  const size_t n = evolving.NumVertices();
-  if (n < 2) return stream;
-
+UpdateBatch StreamGenerator::Next(const LabeledGraph& g) {
+  const size_t n = g.NumVertices();
   // Kind-specific fixed state, sampled once so it is part of the seed's
   // deterministic output.
-  std::vector<VertexId> perm;          // kPowerLaw rank -> vertex
-  ZipfSampler zipf(0, 1.0);            // re-built below for kPowerLaw
-  std::vector<VertexId> hot;           // kHotspot
-  std::deque<std::vector<Edge>> live;  // kTemporal insertion windows
-  if (spec_.kind == StreamKind::kPowerLaw) {
-    perm = RandomPermutation(n, rng_);
-    zipf = ZipfSampler(n, spec_.skew);
-  } else if (spec_.kind == StreamKind::kHotspot) {
+  if (batch_index_ == 0 && spec_.kind == StreamKind::kPowerLaw) {
+    perm_ = RandomPermutation(n, rng_);
+    zipf_ = ZipfSampler(n, spec_.skew);
+  } else if (batch_index_ == 0 && spec_.kind == StreamKind::kHotspot) {
     size_t h = std::max<size_t>(
         2, static_cast<size_t>(spec_.hotspot_fraction * double(n)));
     h = std::min(h, n);
     std::vector<VertexId> p = RandomPermutation(n, rng_);
-    hot.assign(p.begin(), p.begin() + h);
+    hot_.assign(p.begin(), p.begin() + h);
   }
 
   auto uniform_pick = [&]() -> VertexId {
     return static_cast<VertexId>(rng_.Uniform(n));
+  };
+  // A cheap preferential-attachment proxy: a neighbour of a uniform
+  // vertex is degree-biased.
+  auto preferential_pick = [&]() -> VertexId {
+    VertexId v = uniform_pick();
+    auto nbrs = g.Neighbors(v);
+    if (!nbrs.empty() && rng_.Chance(0.5)) {
+      return nbrs[rng_.Uniform(nbrs.size())].v;
+    }
+    return v;
   };
   // The shared mixed-batch shape: `insert_fraction` of ops_per_batch
   // are insertions with endpoints from `pick`, the rest uniform
   // deletions of existing edges.
   auto mixed_batch = [&](double insert_fraction, auto&& pick) {
     double f = std::clamp(insert_fraction, 0.0, 1.0);
-    size_t ins =
-        static_cast<size_t>(double(spec_.ops_per_batch) * f);
+    size_t ins = static_cast<size_t>(double(spec_.ops_per_batch) * f);
     ins = std::min(ins, spec_.ops_per_batch);
-    UpdateBatch out = SampleInsertions(evolving, ins, pick);
-    UpdateBatch dels =
-        SampleDeletions(evolving, spec_.ops_per_batch - ins);
+    UpdateBatch out = SampleInsertions(g, ins, pick);
+    UpdateBatch dels = SampleDeletions(g, spec_.ops_per_batch - ins);
     out.insert(out.end(), dels.begin(), dels.end());
     return out;
   };
 
-  for (size_t b = 0; b < spec_.num_batches; ++b) {
-    UpdateBatch batch;
-    switch (spec_.kind) {
-      case StreamKind::kUniform:
-        batch = mixed_batch(spec_.insert_fraction, uniform_pick);
-        break;
-      case StreamKind::kPowerLaw:
-        batch = mixed_batch(spec_.insert_fraction, [&]() -> VertexId {
-          return perm[zipf.Sample(rng_)];
-        });
-        break;
-      case StreamKind::kTemporal: {
-        // Fresh inserts this batch...
-        batch = SampleInsertions(evolving, spec_.ops_per_batch,
-                                 uniform_pick);
-        std::vector<Edge> inserted;
-        inserted.reserve(batch.size());
-        for (const UpdateOp& op : batch) inserted.emplace_back(op.u, op.v);
-        live.push_back(std::move(inserted));
-        // ...plus expiry of the window that just aged out.  Only edges
-        // still present expire (an expired edge may have been uniformly
-        // re-inserted later; it then lives in a younger window too — the
-        // presence check keeps the delete valid either way).
-        if (live.size() > spec_.window_batches) {
-          for (const Edge& e : live.front()) {
-            if (!evolving.HasEdge(e.u, e.v)) continue;
-            batch.push_back(
-                UpdateOp{false, e.u, e.v, evolving.EdgeLabel(e.u, e.v)});
-          }
-          live.pop_front();
+  UpdateBatch batch;
+  switch (spec_.kind) {
+    case StreamKind::kUniform:
+      batch = mixed_batch(spec_.insert_fraction, uniform_pick);
+      break;
+    case StreamKind::kPowerLaw:
+      batch = mixed_batch(spec_.insert_fraction, [&]() -> VertexId {
+        return perm_[zipf_.Sample(rng_)];
+      });
+      break;
+    case StreamKind::kTemporal: {
+      // Fresh inserts this batch...
+      batch = SampleInsertions(g, spec_.ops_per_batch, uniform_pick);
+      std::vector<Edge> inserted;
+      inserted.reserve(batch.size());
+      for (const UpdateOp& op : batch) inserted.emplace_back(op.u, op.v);
+      live_.push_back(std::move(inserted));
+      // ...plus expiry of the window that just aged out.  Only edges
+      // still present expire (an expired edge may have been uniformly
+      // re-inserted later; it then lives in a younger window too — the
+      // presence check keeps the delete valid either way).
+      if (live_.size() > spec_.window_batches) {
+        for (const Edge& e : live_.front()) {
+          if (!g.HasEdge(e.u, e.v)) continue;
+          batch.push_back(UpdateOp{false, e.u, e.v, g.EdgeLabel(e.u, e.v)});
         }
-        break;
+        live_.pop_front();
       }
-      case StreamKind::kBurst: {
-        const size_t period = std::max<size_t>(2, spec_.burst_period);
-        const bool is_burst = (b + 1) % period == 0;
-        if (is_burst) {
-          // Flash crowd: a fresh small crowd absorbs the spike.
-          size_t c = std::max<size_t>(
-              2, static_cast<size_t>(spec_.crowd_fraction * double(n)));
-          c = std::min(c, n);
-          std::vector<VertexId> p = RandomPermutation(n, rng_);
-          std::vector<VertexId> crowd(p.begin(), p.begin() + c);
-          auto crowd_pick = [&]() -> VertexId {
-            if (rng_.Chance(0.9)) return crowd[rng_.PickIndex(crowd)];
-            return uniform_pick();
-          };
-          size_t ops = static_cast<size_t>(double(spec_.ops_per_batch) *
-                                           spec_.burst_factor);
-          batch = SampleInsertions(evolving, ops, crowd_pick);
-        } else {
-          batch = mixed_batch(spec_.insert_fraction, uniform_pick);
-        }
-        break;
-      }
-      case StreamKind::kChurn:
-        batch = mixed_batch(spec_.churn_insert_fraction, uniform_pick);
-        break;
-      case StreamKind::kHotspot:
-        batch = mixed_batch(spec_.insert_fraction, [&]() -> VertexId {
-          if (rng_.Chance(spec_.hotspot_prob)) {
-            return hot[rng_.PickIndex(hot)];
-          }
-          return uniform_pick();
-        });
-        break;
+      break;
     }
-    // Safety net: SampleInsertions/SampleDeletions already avoid
-    // conflicts, but sanitizing here guarantees the replay invariant
-    // even if a kind combines sub-batches imperfectly.
-    batch = SanitizeBatch(evolving, batch);
+    case StreamKind::kBurst: {
+      const size_t period = std::max<size_t>(2, spec_.burst_period);
+      const bool is_burst = (batch_index_ + 1) % period == 0;
+      if (is_burst) {
+        // Flash crowd: a fresh small crowd absorbs the spike.
+        size_t c = std::max<size_t>(
+            2, static_cast<size_t>(spec_.crowd_fraction * double(n)));
+        c = std::min(c, n);
+        std::vector<VertexId> p = RandomPermutation(n, rng_);
+        std::vector<VertexId> crowd(p.begin(), p.begin() + c);
+        auto crowd_pick = [&]() -> VertexId {
+          if (rng_.Chance(0.9)) return crowd[rng_.PickIndex(crowd)];
+          return uniform_pick();
+        };
+        size_t ops = static_cast<size_t>(double(spec_.ops_per_batch) *
+                                         spec_.burst_factor);
+        batch = SampleInsertions(g, ops, crowd_pick);
+      } else {
+        batch = mixed_batch(spec_.insert_fraction, uniform_pick);
+      }
+      break;
+    }
+    case StreamKind::kChurn:
+      batch = mixed_batch(spec_.churn_insert_fraction, uniform_pick);
+      break;
+    case StreamKind::kHotspot:
+      batch = mixed_batch(spec_.insert_fraction, [&]() -> VertexId {
+        if (rng_.Chance(spec_.hotspot_prob)) {
+          return hot_[rng_.PickIndex(hot_)];
+        }
+        return uniform_pick();
+      });
+      break;
+    case StreamKind::kPreferential:
+      batch = mixed_batch(spec_.insert_fraction, preferential_pick);
+      break;
+    case StreamKind::kCore: {
+      std::vector<VertexId> pool = CorePool(g, spec_.core_k);
+      if (pool.size() < 2) {
+        GAMMA_LOG_WARN("k-core pool too small (k=%zu); using whole graph",
+                       spec_.core_k);
+        batch = SampleInsertions(g, spec_.ops_per_batch, preferential_pick);
+      } else {
+        batch = SampleInsertions(g, spec_.ops_per_batch, [&]() -> VertexId {
+          return pool[rng_.PickIndex(pool)];
+        });
+      }
+      break;
+    }
+  }
+  ++batch_index_;
+  // Safety net: SampleInsertions/SampleDeletions already avoid
+  // conflicts, but sanitizing here guarantees the replay invariant
+  // even if a kind combines sub-batches imperfectly.
+  return SanitizeBatch(g, batch);
+}
+
+std::vector<UpdateBatch> StreamGenerator::Generate(const LabeledGraph& g) {
+  std::vector<UpdateBatch> stream;
+  if (g.NumVertices() < 2) return stream;
+  stream.reserve(spec_.num_batches);
+  LabeledGraph evolving = g;  // private replica; caller's graph untouched
+  for (size_t b = 0; b < spec_.num_batches; ++b) {
+    UpdateBatch batch = Next(evolving);
     size_t applied = ApplyBatch(&evolving, batch);
     GAMMA_CHECK(applied == batch.size());
     stream.push_back(std::move(batch));

@@ -1,11 +1,14 @@
 /// \file stream_gen.hpp
 /// Seeded dynamic-graph stream generators (the workload layer's answer
-/// to "handle as many scenarios as you can imagine").
+/// to "handle as many scenarios as you can imagine"), the paper's
+/// evaluation streams included: kPreferential is Fig. 9's insertions
+/// and Fig. 11's 2:1 mix, kCore Fig. 10's k-core insertions.
 ///
 /// Each generator synthesizes a whole update stream — a sequence of
 /// `UpdateBatch`es in the exact format Engine::ProcessBatch and
-/// StreamPipeline already consume — against a private evolving replica
-/// of the data graph, so every batch is *valid by construction*: given
+/// StreamPipeline already consume — one batch at a time against the
+/// graph the previous batches were applied to (`Generate` keeps a
+/// private evolving replica), so every batch is *valid by construction*: given
 /// the initial graph and the preceding batches applied in order, every
 /// op takes effect (inserts hit absent edges, deletes hit present
 /// ones).  That replayability is what makes a generated stream a
@@ -18,6 +21,7 @@
 /// are documented in docs/WORKLOADS.md.
 #pragma once
 
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -39,9 +43,13 @@ enum class StreamKind {
               ///< per-burst crowd vertex set
   kChurn,     ///< deletion-heavy turnover (inserts a minority share)
   kHotspot,   ///< a fixed small hot vertex set attracts most endpoints
+  kPreferential,  ///< degree-biased mixed insert/delete (an endpoint is
+                  ///< one hop from a uniform vertex with P = 1/2)
+  kCore,      ///< insertions with both endpoints in the `core_k`-core
 };
 
-/// "uniform" | "powerlaw" | "temporal" | "burst" | "churn" | "hotspot".
+/// "uniform" | "powerlaw" | "temporal" | "burst" | "churn" | "hotspot" |
+/// "preferential" | "kcore".
 const char* StreamKindName(StreamKind kind);
 /// Inverse of StreamKindName; false when `name` is unknown.
 bool StreamKindFromName(const std::string& name, StreamKind* out);
@@ -57,7 +65,8 @@ struct StreamSpec {
   /// deletions ride on top; kBurst: off-peak size).
   size_t ops_per_batch = 200;
   /// Fraction of ops that are insertions for the mixed kinds
-  /// (kUniform/kPowerLaw/kBurst/kHotspot default, kChurn overrides).
+  /// (kUniform/kPowerLaw/kBurst/kHotspot/kPreferential; kChurn
+  /// overrides).
   double insert_fraction = 0.65;
   /// Edge-label alphabet for inserted edges (0 = unlabeled).
   size_t elabels = 0;
@@ -79,18 +88,36 @@ struct StreamSpec {
   // --- kHotspot ---
   double hotspot_fraction = 0.01;  ///< |hot| / |V| (>= 2 vertices)
   double hotspot_prob = 0.8;       ///< P(endpoint drawn from hot set)
+
+  // --- kCore ---
+  /// Insert endpoints come from the `core_k`-core; when it is empty the
+  /// densest non-empty core serves, and the whole graph (kPreferential
+  /// picks) when no core has two vertices.
+  size_t core_k = 4;
 };
 
-/// Synthesizes one stream.  Stateless between Generate calls except for
-/// the RNG, so construct one generator per stream for reproducibility.
+/// A kPreferential spec of `ops` ops per batch, `insert_fraction` of
+/// them insertions: 1 is pure growth (Fig. 9's insertion rate), 0 pure
+/// deletion, 2/3 Fig. 11's 2:1 mix.
+StreamSpec PreferentialSpec(size_t ops, double insert_fraction,
+                            size_t elabels = 0);
+
+/// Synthesizes one stream.  `Next` and `Generate` advance the RNG and
+/// the kind's state (kTemporal's windows, kBurst's batch index, the
+/// kPowerLaw/kHotspot vertex draws of the first batch), so construct
+/// one generator per stream for reproducibility.
 class StreamGenerator {
  public:
   StreamGenerator(const StreamSpec& spec, uint64_t seed)
       : spec_(spec), rng_(seed) {}
 
-  /// Generates spec.num_batches batches against an evolving private
-  /// copy of `g` (the caller's graph is untouched).  Every returned
-  /// batch is sanitized and effective in sequence (see file comment).
+  /// The stream's next batch, sampled against and sanitized for `g`:
+  /// pass the graph the previous batches were applied to.
+  UpdateBatch Next(const LabeledGraph& g);
+
+  /// spec.num_batches `Next` batches against an evolving private copy
+  /// of `g`, each applied before the next is drawn (the caller's graph
+  /// is untouched), so every op is effective in sequence.
   std::vector<UpdateBatch> Generate(const LabeledGraph& g);
 
  private:
@@ -105,6 +132,11 @@ class StreamGenerator {
 
   StreamSpec spec_;
   Rng rng_;
+  size_t batch_index_ = 0;              // batches drawn so far
+  std::vector<VertexId> perm_;          // kPowerLaw rank -> vertex
+  ZipfSampler zipf_{0, 1.0};            // kPowerLaw, built on batch 0
+  std::vector<VertexId> hot_;           // kHotspot
+  std::deque<std::vector<Edge>> live_;  // kTemporal insertion windows
 };
 
 }  // namespace bdsm::workload

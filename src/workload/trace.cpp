@@ -188,11 +188,13 @@ std::optional<UpdateBatch> TraceReader::Next() {
   for (uint64_t i = 0; i < num_ops; ++i) {
     uint8_t ins = 0;
     uint32_t u = 0, v = 0, el = 0;
+    // The writer emits flag 0 or 1 only; any other byte is a damaged
+    // record, rejected like a short one.
     if (!GetU8(f_, &ins) || !GetU32(f_, &u) || !GetU32(f_, &v) ||
-        !GetU32(f_, &el)) {
+        !GetU32(f_, &el) || ins > 1) {
       return torn();
     }
-    batch.push_back(UpdateOp{ins != 0, u, v, el});
+    batch.push_back(UpdateOp{ins == 1, u, v, el});
   }
   ++read_batches_;
   return batch;

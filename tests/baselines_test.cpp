@@ -9,11 +9,14 @@
 #include "baselines/csm_common.hpp"
 #include "baselines/enumerate.hpp"
 #include "graph/graph_generator.hpp"
-#include "graph/update_stream.hpp"
 #include "single_query.hpp"
+#include "workload/stream_gen.hpp"
 
 namespace bdsm {
 namespace {
+
+using workload::PreferentialSpec;
+using workload::StreamGenerator;
 
 std::pair<std::vector<std::string>, std::vector<std::string>> OracleDelta(
     const LabeledGraph& before, const UpdateBatch& batch,
@@ -69,8 +72,8 @@ TEST_P(CsmEngineTest, NetEffectEqualsOracle) {
   const char* engine = std::get<0>(GetParam());
   uint64_t seed = std::get<1>(GetParam());
   LabeledGraph g = GenerateUniformGraph(120, 420, 3, 1, seed);
-  UpdateStreamGenerator gen(seed + 100);
-  UpdateBatch batch = gen.MakeMixed(g, 30, 2, 1, 0);
+  UpdateBatch batch =
+      StreamGenerator(PreferentialSpec(30, 2.0 / 3), seed + 100).Next(g);
 
   QueryGraph tri({0, 0, 1});
   tri.AddEdge(0, 1);
@@ -98,8 +101,8 @@ TEST(CsmEngineTest, EdgeLabeledOracleAgreement) {
   // Edge labels force CaLiG onto its transformed-graph path.
   for (const char* engine : {"GF", "TF", "SYM", "RF", "CL"}) {
     LabeledGraph g = GenerateUniformGraph(100, 360, 2, 3, 17);
-    UpdateStreamGenerator gen(18);
-    UpdateBatch batch = gen.MakeMixed(g, 24, 2, 1, 3);
+    UpdateBatch batch =
+        StreamGenerator(PreferentialSpec(24, 2.0 / 3, 3), 18).Next(g);
     QueryGraph q({0, 1, 0});
     q.AddEdge(0, 1, 0);
     q.AddEdge(1, 2, 1);
@@ -110,8 +113,8 @@ TEST(CsmEngineTest, EdgeLabeledOracleAgreement) {
 
 TEST(CsmEngineTest, AgreesWithGamma) {
   LabeledGraph g = GenerateUniformGraph(130, 450, 3, 1, 23);
-  UpdateStreamGenerator gen(24);
-  UpdateBatch batch = SanitizeBatch(g, gen.MakeMixed(g, 30, 2, 1, 0));
+  UpdateBatch batch =
+      StreamGenerator(PreferentialSpec(30, 2.0 / 3), 24).Next(g);
   QueryGraph q({0, 1, 1});
   q.AddEdge(0, 1);
   q.AddEdge(1, 2);

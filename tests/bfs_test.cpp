@@ -5,7 +5,7 @@
 #include "core/bfs_kernel.hpp"
 #include "core/wbm_kernel.hpp"
 #include "graph/graph_generator.hpp"
-#include "graph/update_stream.hpp"
+#include "workload/stream_gen.hpp"
 
 namespace bdsm {
 namespace {
@@ -36,8 +36,8 @@ struct BfsFixture {
         enc(q),
         gpma(32) {
     ctx = BuildQueryContext(q, /*coalesced_search=*/false);
-    UpdateStreamGenerator gen(seed + 1);
-    UpdateBatch batch = gen.MakeInsertions(g, inserts, 0);
+    workload::StreamSpec growth = workload::PreferentialSpec(inserts, 1);
+    UpdateBatch batch = workload::StreamGenerator(growth, seed + 1).Next(g);
     ApplyBatch(&g, batch);
     gpma.BuildFrom(g);
     enc.BuildAll(g);

@@ -12,10 +12,13 @@
 
 #include "core/engine.hpp"
 #include "graph/graph_generator.hpp"
-#include "graph/update_stream.hpp"
+#include "workload/stream_gen.hpp"
 
 namespace bdsm {
 namespace {
+
+using workload::PreferentialSpec;
+using workload::StreamGenerator;
 
 QueryGraph TriangleQuery() {
   QueryGraph q({0, 0, 1});
@@ -103,7 +106,9 @@ TEST(DeviceEngineParityTest, EveryQueryEqualsItsSingleQueryEngine) {
     std::unique_ptr<Engine> fresh;  // built from the graph at batch 10
     QueryId fresh_id = kInvalidQueryId;
 
-    UpdateStreamGenerator gen(churn ? 83 : 84);
+    StreamGenerator gen(churn ? PreferentialSpec(40, 1.0 / 3)
+                              : PreferentialSpec(30, 1),
+                        churn ? 83 : 84);
     size_t matches = 0;
     for (size_t b = 0; b < 32; ++b) {
       SCOPED_TRACE("batch " + std::to_string(b));
@@ -120,9 +125,7 @@ TEST(DeviceEngineParityTest, EveryQueryEqualsItsSingleQueryEngine) {
         EXPECT_FALSE(gamma->RemoveQuery(tracked[1].gamma_id));
         tracked.erase(tracked.begin() + 1);
       }
-      const LabeledGraph& cur = gamma->host_graph();
-      const UpdateBatch raw = churn ? gen.MakeMixed(cur, 40, 1, 2, 0)
-                                    : gen.MakeInsertions(cur, 30, 0);
+      const UpdateBatch raw = gen.Next(gamma->host_graph());
       const BatchReport got = gamma->ProcessBatch(raw);
       const BatchReport fused = multi->ProcessBatch(raw);
       const size_t live = b < 10 ? 3 : (b < 20 ? 4 : 3);
@@ -184,8 +187,7 @@ TEST(DeviceEngineTest, SharedUpdateChargedOnce) {
     e->AddQuery(q);
     e->AddQuery(q);
   }
-  UpdateStreamGenerator gen(94);
-  UpdateBatch batch = gen.MakeInsertions(g, 30, 0);
+  UpdateBatch batch = StreamGenerator(PreferentialSpec(30, 1), 94).Next(g);
   BatchReport m = multi->ProcessBatch(batch);
   BatchReport gr = gamma->ProcessBatch(batch);
   // Both queries report the same shared update stats, charged once.
@@ -231,10 +233,9 @@ TEST(DeviceEngineTest, RemoveQueryKeepsOthersCorrect) {
   witness->AddQuery(tri);
   witness->AddQuery(wedge);
 
-  UpdateStreamGenerator gen(98);
+  StreamGenerator gen(PreferentialSpec(35, 2.0 / 3), 98);
   for (int round = 0; round < 3; ++round) {
-    UpdateBatch batch = SanitizeBatch(
-        multi->host_graph(), gen.MakeMixed(multi->host_graph(), 35, 2, 1, 0));
+    UpdateBatch batch = gen.Next(multi->host_graph());
     BatchReport got = multi->ProcessBatch(batch);
     BatchReport want = witness->ProcessBatch(batch);
     ASSERT_EQ(got.queries.size(), 2u);
@@ -252,7 +253,8 @@ TEST(DeviceEngineTest, RemoveQueryKeepsOthersCorrect) {
   ASSERT_TRUE(multi->RemoveQuery(id_tri));
   ASSERT_TRUE(multi->RemoveQuery(id_wedge));
   EXPECT_EQ(multi->NumQueries(), 0u);
-  UpdateBatch batch = gen.MakeInsertions(multi->host_graph(), 10, 0);
+  UpdateBatch batch =
+      StreamGenerator(PreferentialSpec(10, 1), 98).Next(multi->host_graph());
   EXPECT_TRUE(multi->ProcessBatch(batch).queries.empty());
 }
 
@@ -264,15 +266,16 @@ TEST(DeviceEngineTest, NoQueriesIsFine) {
   for (const char* name : {"gamma", "multi"}) {
     SCOPED_TRACE(name);
     auto engine = MakeEngine(name, g);
-    UpdateStreamGenerator gen(96);
-    BatchReport empty = engine->ProcessBatch(gen.MakeInsertions(g, 10, 0));
+    BatchReport empty = engine->ProcessBatch(
+        StreamGenerator(PreferentialSpec(10, 1), 96).Next(g));
     EXPECT_TRUE(empty.queries.empty());
     EXPECT_EQ(engine->host_graph().NumEdges(), g.NumEdges() + 10);
 
     auto fresh = MakeEngine(name, engine->host_graph());
     QueryId id = engine->AddQuery(WedgeQuery());
     QueryId fresh_id = fresh->AddQuery(WedgeQuery());
-    UpdateBatch batch = gen.MakeMixed(engine->host_graph(), 30, 2, 1, 0);
+    UpdateBatch batch = StreamGenerator(PreferentialSpec(30, 2.0 / 3), 96)
+                            .Next(engine->host_graph());
     BatchReport got = engine->ProcessBatch(batch);
     BatchReport want = fresh->ProcessBatch(batch);
     EXPECT_GT(want.TotalMatches(), 0u);

@@ -152,15 +152,10 @@ TEST(EncoderTest, FilterIsSound) {
 TEST(EncoderTest, IncrementalEqualsFullRebuild) {
   // Fig. 11's 2:1 insert:delete mix with labeled edges.
   const LabeledGraph g = GenerateUniformGraph(200, 700, 4, 2, 77);
-  LabeledGraph evolving = g;
-  UpdateStreamGenerator gen(5);
-  std::vector<UpdateBatch> stream;
-  for (int round = 0; round < 6; ++round) {
-    stream.push_back(
-        SanitizeBatch(evolving, gen.MakeMixed(evolving, 60, 2, 1, 2)));
-    ApplyBatch(&evolving, stream.back());
-  }
-  CheckStreamAgainstRebuild(g, stream);
+  workload::StreamSpec spec = workload::PreferentialSpec(60, 2.0 / 3, 2);
+  spec.num_batches = 6;
+  CheckStreamAgainstRebuild(g,
+                            workload::StreamGenerator(spec, 5).Generate(g));
 }
 
 TEST(EncoderTest, SaturationTradeoff) {

@@ -14,10 +14,13 @@
 #include "core/engine.hpp"
 #include "core/match_store.hpp"
 #include "graph/graph_generator.hpp"
-#include "graph/update_stream.hpp"
+#include "workload/stream_gen.hpp"
 
 namespace bdsm {
 namespace {
+
+using workload::PreferentialSpec;
+using workload::StreamGenerator;
 
 const char* const kAllEngines[] = {"gamma", "multi", "tf", "sym",
                                    "rf",    "cl",    "gf"};
@@ -97,7 +100,6 @@ TEST(EngineRegistryTest, DescribeSplitsClockDomains) {
     EXPECT_EQ(info.clock, ClockDomain::kModeledDevice) << name;
     EXPECT_EQ(info.canonical_spec, name);
     EXPECT_EQ(info.num_shards, 1u);
-    EXPECT_TRUE(info.supports_remove_query);
   }
   for (const char* name : {"tf", "sym", "rf", "cl", "gf"}) {
     EngineInfo info = MakeEngine(name, g)->Describe();
@@ -139,8 +141,8 @@ TEST(EngineRegistryTest, CustomRegistration) {
 // NetEffect, per query.
 TEST(EngineParityTest, IdenticalBatchAcrossAllEngines) {
   LabeledGraph g = GenerateUniformGraph(120, 420, 3, 1, 2024);
-  UpdateStreamGenerator gen(2025);
-  UpdateBatch batch = gen.MakeMixed(g, 30, 2, 1, 0);
+  UpdateBatch batch =
+      StreamGenerator(PreferentialSpec(30, 2.0 / 3), 2025).Next(g);
 
   std::vector<QueryGraph> queries = {TriangleQuery(), PathQuery()};
 
@@ -173,8 +175,8 @@ TEST(EngineParityTest, IdenticalBatchAcrossAllEngines) {
 // materialized report vectors, for every engine family.
 TEST(EngineSinkTest, SinkEqualsMaterialized) {
   LabeledGraph g = GenerateUniformGraph(100, 350, 3, 1, 31);
-  UpdateStreamGenerator gen(32);
-  UpdateBatch batch = gen.MakeMixed(g, 25, 2, 1, 0);
+  UpdateBatch batch =
+      StreamGenerator(PreferentialSpec(25, 2.0 / 3), 32).Next(g);
 
   for (const char* name : kAllEngines) {
     SCOPED_TRACE(name);
@@ -224,8 +226,8 @@ TEST(EngineSinkTest, StoreSinkTracksOracleAcrossFamilies) {
   QueryGraph wedge({1, 0, 1});
   wedge.AddEdge(0, 1);
   wedge.AddEdge(1, 2);
-  UpdateStreamGenerator gen(36);
-  UpdateBatch batch = gen.MakeMixed(g, 30, 2, 1, 0);
+  UpdateBatch batch =
+      StreamGenerator(PreferentialSpec(30, 2.0 / 3), 36).Next(g);
 
   struct StoreSink final : ResultSink {
     MatchStore store;
@@ -264,8 +266,7 @@ TEST(EngineSinkTest, StoreSinkTracksOracleAcrossFamilies) {
 // Sink alongside materialization: both delivery paths active at once.
 TEST(EngineSinkTest, SinkAndMaterializeTogether) {
   LabeledGraph g = GenerateUniformGraph(100, 350, 3, 1, 33);
-  UpdateStreamGenerator gen(34);
-  UpdateBatch batch = gen.MakeInsertions(g, 20, 0);
+  UpdateBatch batch = StreamGenerator(PreferentialSpec(20, 1), 34).Next(g);
 
   auto engine = MakeEngine("multi", g);
   QueryId q1 = engine->AddQuery(TriangleQuery());
@@ -289,8 +290,8 @@ TEST(EngineSinkTest, SinkAndMaterializeTogether) {
 // sees exactly what a fresh engine over the evolved graph sees.
 TEST(EngineDynamicTest, AddQueryMidStream) {
   LabeledGraph g = GenerateUniformGraph(120, 400, 3, 1, 41);
-  UpdateStreamGenerator gen(42);
-  UpdateBatch batch1 = gen.MakeMixed(g, 25, 2, 1, 0);
+  StreamGenerator gen(PreferentialSpec(25, 2.0 / 3), 42);
+  UpdateBatch batch1 = gen.Next(g);
 
   for (const char* name : {"gamma", "multi", "rf"}) {
     SCOPED_TRACE(name);
@@ -300,9 +301,7 @@ TEST(EngineDynamicTest, AddQueryMidStream) {
 
     // Register a second pattern against the evolved graph.
     QueryId late = engine->AddQuery(PathQuery());
-    UpdateBatch batch2 =
-        SanitizeBatch(engine->host_graph(),
-                      gen.MakeMixed(engine->host_graph(), 25, 2, 1, 0));
+    UpdateBatch batch2 = gen.Next(engine->host_graph());
     BatchReport got = engine->ProcessBatch(batch2);
 
     // host_graph() already includes batch2; rebuild the pre-batch state.
@@ -318,8 +317,8 @@ TEST(EngineDynamicTest, AddQueryMidStream) {
 
 TEST(EngineDynamicTest, RemoveQueryDropsItsResults) {
   LabeledGraph g = GenerateUniformGraph(120, 400, 3, 1, 43);
-  UpdateStreamGenerator gen(44);
-  UpdateBatch batch = gen.MakeMixed(g, 25, 2, 1, 0);
+  UpdateBatch batch =
+      StreamGenerator(PreferentialSpec(25, 2.0 / 3), 44).Next(g);
 
   for (const char* name : kAllEngines) {
     SCOPED_TRACE(name);
@@ -345,8 +344,7 @@ TEST(EngineDynamicTest, RemoveQueryDropsItsResults) {
 // through the same flag set for both engine families.
 TEST(EngineReportTest, TruncationIsUnified) {
   LabeledGraph g = GenerateUniformGraph(150, 600, 2, 1, 51);
-  UpdateStreamGenerator gen(52);
-  UpdateBatch batch = gen.MakeInsertions(g, 120, 0);
+  UpdateBatch batch = StreamGenerator(PreferentialSpec(120, 1), 52).Next(g);
 
   EngineOptions tiny;
   tiny.gamma.result_cap = 1;
@@ -374,8 +372,8 @@ TEST(EngineReportTest, TruncationIsUnified) {
 // does, and the engine's graph never sees the bad edge.
 TEST(EngineDynamicTest, OutOfRangeEndpointsAreDropped) {
   LabeledGraph g = GenerateUniformGraph(120, 400, 3, 1, 55);
-  UpdateStreamGenerator gen(56);
-  const UpdateBatch clean = SanitizeBatch(g, gen.MakeMixed(g, 30, 2, 1, 0));
+  const UpdateBatch clean =
+      StreamGenerator(PreferentialSpec(30, 2.0 / 3), 56).Next(g);
   const VertexId n = static_cast<VertexId>(g.NumVertices());
   UpdateBatch dirty = clean;
   dirty.insert(dirty.begin() + 3, UpdateOp{true, 3, 100000});
@@ -441,8 +439,7 @@ TEST(EngineDynamicTest, DeletionSeedsOnStoredEdgeLabel) {
 
 TEST(EngineReportTest, EmptyEngineStillAdvancesGraph) {
   LabeledGraph g = GenerateUniformGraph(60, 150, 2, 1, 53);
-  UpdateStreamGenerator gen(54);
-  UpdateBatch batch = gen.MakeInsertions(g, 10, 0);
+  UpdateBatch batch = StreamGenerator(PreferentialSpec(10, 1), 54).Next(g);
   for (const char* name : kAllEngines) {
     SCOPED_TRACE(name);
     auto engine = MakeEngine(name, g);

@@ -9,11 +9,14 @@
 #include "graph/datasets.hpp"
 #include "graph/graph_generator.hpp"
 #include "graph/query_extractor.hpp"
-#include "graph/update_stream.hpp"
 #include "single_query.hpp"
+#include "workload/stream_gen.hpp"
 
 namespace bdsm {
 namespace {
+
+using workload::PreferentialSpec;
+using workload::StreamGenerator;
 
 TEST(GammaSystemTest, AllDatasetTwinsSmoke) {
   // Every dataset twin must run end-to-end with an extracted query.
@@ -22,9 +25,9 @@ TEST(GammaSystemTest, AllDatasetTwinsSmoke) {
     QueryExtractor ex(g, 5);
     auto q = ex.Extract(5, QueryGraph::StructureClass::kTree);
     ASSERT_TRUE(q.has_value()) << spec.short_name;
-    UpdateStreamGenerator gen(6);
-    UpdateBatch batch = gen.MakeInsertions(
-        g, 50, spec.edge_labels > 1 ? spec.edge_labels : 0);
+    const size_t elabels = spec.edge_labels > 1 ? spec.edge_labels : 0;
+    UpdateBatch batch =
+        StreamGenerator(PreferentialSpec(50, 1, elabels), 6).Next(g);
     GammaOptions opts;
     opts.device.host_budget_seconds = 5.0;
     QueryReport res = RunGammaBatch(g, *q, opts, batch);
@@ -80,8 +83,7 @@ TEST(GammaSystemTest, UtilizationWithinBounds) {
   QueryExtractor ex(g, 8);
   auto q = ex.Extract(6, QueryGraph::StructureClass::kSparse);
   ASSERT_TRUE(q.has_value());
-  UpdateStreamGenerator gen(9);
-  UpdateBatch batch = gen.MakeInsertions(g, 100, 0);
+  UpdateBatch batch = StreamGenerator(PreferentialSpec(100, 1), 9).Next(g);
   GammaOptions opts;
   opts.device.num_sms = 8;
   QueryReport res = RunGammaBatch(g, *q, opts, batch);
@@ -98,8 +100,7 @@ TEST(GammaSystemTest, StealEventsOnlyWithStealing) {
   QueryExtractor ex(g, 10);
   auto q = ex.Extract(6, QueryGraph::StructureClass::kSparse);
   ASSERT_TRUE(q.has_value());
-  UpdateStreamGenerator gen(11);
-  UpdateBatch batch = gen.MakeInsertions(g, 120, 0);
+  UpdateBatch batch = StreamGenerator(PreferentialSpec(120, 1), 11).Next(g);
   GammaOptions none, active;
   none.device.steal_policy = StealPolicy::kNone;
   active.device.steal_policy = StealPolicy::kActive;
@@ -132,10 +133,9 @@ TEST_P(GammaMatrixTest, CountsMatchOracleOnTwins) {
   if (!q) q = ex.Extract(4, QueryGraph::StructureClass::kTree);
   ASSERT_TRUE(q.has_value()) << spec.short_name;
 
-  UpdateStreamGenerator gen(18);
-  UpdateBatch batch = SanitizeBatch(
-      g, gen.MakeMixed(g, 40, 2, 1,
-                       spec.edge_labels > 1 ? spec.edge_labels : 0));
+  const size_t elabels = spec.edge_labels > 1 ? spec.edge_labels : 0;
+  UpdateBatch batch =
+      StreamGenerator(PreferentialSpec(40, 2.0 / 3, elabels), 18).Next(g);
 
   LabeledGraph after = g;
   ApplyBatch(&after, batch);

@@ -6,11 +6,14 @@
 #include "gpma/gpma.hpp"
 #include "gpma/gpma_kernel.hpp"
 #include "graph/graph_generator.hpp"
-#include "graph/update_stream.hpp"
 #include "util/rng.hpp"
+#include "workload/stream_gen.hpp"
 
 namespace bdsm {
 namespace {
+
+using workload::PreferentialSpec;
+using workload::StreamGenerator;
 
 // One-op batches: each returns whether the op changed the edge count,
 // i.e. whether the edge was absent / present respectively.
@@ -111,9 +114,9 @@ TEST(GpmaTest, BatchInsertionsMatchReference) {
   LabeledGraph g = GenerateUniformGraph(200, 600, 3, 2, 7);
   Gpma gpma(32);
   gpma.BuildFrom(g);
-  UpdateStreamGenerator gen(11);
+  StreamGenerator gen(PreferentialSpec(80, 1, 2), 11);
   for (int round = 0; round < 5; ++round) {
-    UpdateBatch batch = gen.MakeInsertions(g, 80, 2);
+    UpdateBatch batch = gen.Next(g);
     gpma.ApplyBatch(batch);
     ApplyBatch(&g, batch);
     gpma.CheckInvariants();
@@ -125,9 +128,9 @@ TEST(GpmaTest, BatchDeletionsMatchReference) {
   LabeledGraph g = GenerateUniformGraph(200, 1000, 3, 2, 8);
   Gpma gpma(32);
   gpma.BuildFrom(g);
-  UpdateStreamGenerator gen(12);
+  StreamGenerator gen(PreferentialSpec(120, 0), 12);
   for (int round = 0; round < 5; ++round) {
-    UpdateBatch batch = gen.MakeDeletions(g, 120);
+    UpdateBatch batch = gen.Next(g);
     gpma.ApplyBatch(batch);
     ApplyBatch(&g, batch);
     gpma.CheckInvariants();
@@ -139,10 +142,9 @@ TEST(GpmaTest, MixedBatchesMatchReference) {
   LabeledGraph g = GenerateUniformGraph(250, 900, 4, 3, 9);
   Gpma gpma(16);
   gpma.BuildFrom(g);
-  UpdateStreamGenerator gen(13);
+  StreamGenerator gen(PreferentialSpec(100, 2.0 / 3, 3), 13);
   for (int round = 0; round < 8; ++round) {
-    UpdateBatch batch =
-        SanitizeBatch(g, gen.MakeMixed(g, 100, 2, 1, 3));
+    UpdateBatch batch = gen.Next(g);
     gpma.ApplyBatch(batch);
     ApplyBatch(&g, batch);
     gpma.CheckInvariants();
@@ -193,8 +195,7 @@ TEST(GpmaPlanTest, PlanDescribesWork) {
   LabeledGraph g = GenerateUniformGraph(200, 800, 3, 1, 14);
   Gpma gpma(32);
   gpma.BuildFrom(g);
-  UpdateStreamGenerator gen(15);
-  UpdateBatch batch = gen.MakeInsertions(g, 100, 0);
+  UpdateBatch batch = StreamGenerator(PreferentialSpec(100, 1), 15).Next(g);
   UpdatePlan plan = gpma.ApplyBatch(batch);
   // Every directed entry needs a locate; 2 per undirected insert.
   EXPECT_GE(plan.locate_searches, batch.size());

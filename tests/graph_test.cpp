@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <set>
 
 #include "graph/datasets.hpp"
 #include "graph/graph_generator.hpp"
@@ -13,6 +12,7 @@
 #include "graph/query_extractor.hpp"
 #include "graph/query_graph.hpp"
 #include "graph/update_stream.hpp"
+#include "workload/stream_gen.hpp"
 
 namespace bdsm {
 namespace {
@@ -229,62 +229,16 @@ TEST(DatasetTest, LookupByName) {
   EXPECT_EQ(nf.edge_labels, 7u);
 }
 
-TEST(UpdateStreamTest, InsertionsAreFresh) {
-  LabeledGraph g = GenerateUniformGraph(300, 900, 3, 1, 5);
-  UpdateStreamGenerator gen(17);
-  UpdateBatch batch = gen.MakeInsertions(g, 50, 0);
-  EXPECT_EQ(batch.size(), 50u);
-  std::set<std::pair<VertexId, VertexId>> seen;
-  for (const UpdateOp& op : batch) {
-    EXPECT_TRUE(op.is_insert);
-    EXPECT_FALSE(g.HasEdge(op.u, op.v));
-    EXPECT_TRUE(seen.emplace(op.u, op.v).second) << "duplicate in batch";
-  }
-}
-
-TEST(UpdateStreamTest, DeletionsExist) {
-  LabeledGraph g = GenerateUniformGraph(300, 900, 3, 1, 6);
-  UpdateStreamGenerator gen(18);
-  UpdateBatch batch = gen.MakeDeletions(g, 40);
-  EXPECT_EQ(batch.size(), 40u);
-  for (const UpdateOp& op : batch) {
-    EXPECT_FALSE(op.is_insert);
-    EXPECT_TRUE(g.HasEdge(op.u, op.v));
-  }
-}
-
 TEST(UpdateStreamTest, ApplyAndRevertRoundTrip) {
   LabeledGraph g = GenerateUniformGraph(200, 600, 3, 2, 7);
   auto before = g.CollectEdges();
-  UpdateStreamGenerator gen(19);
-  UpdateBatch batch = gen.MakeMixed(g, 60, 2, 1, 2);
+  UpdateBatch batch =
+      workload::StreamGenerator(workload::PreferentialSpec(60, 2.0 / 3, 2), 19)
+          .Next(g);
   size_t applied = ApplyBatch(&g, batch);
   EXPECT_EQ(applied, batch.size());
   RevertBatch(&g, batch);
   EXPECT_EQ(g.CollectEdges(), before);
-}
-
-TEST(UpdateStreamTest, MixedRatio) {
-  LabeledGraph g = GenerateUniformGraph(400, 1600, 3, 1, 8);
-  UpdateStreamGenerator gen(20);
-  UpdateBatch batch = gen.MakeMixed(g, 90, 2, 1, 0);
-  size_t ins = 0, del = 0;
-  for (const UpdateOp& op : batch) (op.is_insert ? ins : del)++;
-  EXPECT_NEAR(static_cast<double>(ins) / static_cast<double>(del), 2.0, 0.5);
-}
-
-TEST(UpdateStreamTest, CoreInsertionsStayInCore) {
-  LabeledGraph g = LoadDataset(DatasetId::kLSBench);
-  auto core = CoreNumbers(g);
-  uint32_t k = std::min<uint32_t>(4, Degeneracy(g));
-  ASSERT_GT(k, 0u);
-  UpdateStreamGenerator gen(21);
-  UpdateBatch batch = gen.MakeCoreInsertions(g, 30, k, 44);
-  ASSERT_FALSE(batch.empty());
-  for (const UpdateOp& op : batch) {
-    EXPECT_GE(core[op.u], k);
-    EXPECT_GE(core[op.v], k);
-  }
 }
 
 TEST(UpdateStreamTest, SanitizeDropsConflicts) {

@@ -9,7 +9,7 @@
 #include "core/engine.hpp"
 #include "core/match_store.hpp"
 #include "graph/graph_generator.hpp"
-#include "graph/update_stream.hpp"
+#include "workload/stream_gen.hpp"
 
 namespace bdsm {
 namespace {
@@ -75,10 +75,9 @@ TEST(MatchStoreTest, TracksTruthAcrossStream) {
     store.ApplyDelta(pos);
   }
 
-  UpdateStreamGenerator gen(72);
+  workload::StreamGenerator gen(workload::PreferentialSpec(30, 2.0 / 3), 72);
   for (int round = 0; round < 5; ++round) {
-    UpdateBatch batch = SanitizeBatch(
-        gamma->host_graph(), gen.MakeMixed(gamma->host_graph(), 30, 2, 1, 0));
+    UpdateBatch batch = gen.Next(gamma->host_graph());
     BatchReport report = gamma->ProcessBatch(batch);
     // Negatives first: a batch may retract a match and (through other
     // edges) create a structurally identical one.

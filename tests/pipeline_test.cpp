@@ -10,26 +10,20 @@
 
 #include "core/stream_pipeline.hpp"
 #include "graph/graph_generator.hpp"
-#include "graph/update_stream.hpp"
 #include "obs/metrics.hpp"
 #include "workload/scenario_runner.hpp"
+#include "workload/stream_gen.hpp"
 
 namespace bdsm {
 namespace {
 
 std::vector<UpdateBatch> MakeStream(const LabeledGraph& g, size_t batches,
                                     size_t ops, uint64_t seed) {
-  // Batches generated against the evolving graph so they stay valid.
-  LabeledGraph evolving = g;
-  UpdateStreamGenerator gen(seed);
-  std::vector<UpdateBatch> stream;
-  for (size_t i = 0; i < batches; ++i) {
-    UpdateBatch b =
-        SanitizeBatch(evolving, gen.MakeMixed(evolving, ops, 2, 1, 0));
-    ApplyBatch(&evolving, b);
-    stream.push_back(std::move(b));
-  }
-  return stream;
+  // 2:1 mixed batches generated against the evolving graph so they stay
+  // valid.
+  workload::StreamSpec spec = workload::PreferentialSpec(ops, 2.0 / 3);
+  spec.num_batches = batches;
+  return workload::StreamGenerator(spec, seed).Generate(g);
 }
 
 QueryGraph TestQuery() {
@@ -97,13 +91,7 @@ TEST(StreamPipelineTest, MatchesSerialProcessing) {
 // alike.  Under TSan this also checks that overlap is race-free.
 TEST(StreamPipelineTest, OverDeviceEnginesBitIdenticalToPerBatch) {
   LabeledGraph g = GenerateUniformGraph(150, 500, 3, 1, 71);
-  LabeledGraph evolving = g;
-  UpdateStreamGenerator gen(72);
-  std::vector<UpdateBatch> stream;
-  for (size_t i = 0; i < 6; ++i) {
-    stream.push_back(gen.MakeMixed(evolving, 40, 2, 1, 0));
-    ApplyBatch(&evolving, SanitizeBatch(evolving, stream.back()));
-  }
+  std::vector<UpdateBatch> stream = MakeStream(g, 6, 40, 72);
   QueryGraph wedge({1, 0, 1});
   wedge.AddEdge(0, 1);
   wedge.AddEdge(1, 2);

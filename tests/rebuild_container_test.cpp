@@ -6,16 +6,17 @@
 #include "gpma/gpma_kernel.hpp"
 #include "gpma/rebuild_container.hpp"
 #include "graph/graph_generator.hpp"
-#include "graph/update_stream.hpp"
+#include "workload/stream_gen.hpp"
 
 namespace bdsm {
 namespace {
 
 TEST(RebuildContainerTest, RebuildCostIsFlatGpmaCostScales) {
   LabeledGraph g = GenerateUniformGraph(800, 6000, 2, 1, 83);
-  UpdateStreamGenerator gen(84);
-  UpdateBatch small = gen.MakeInsertions(g, 16, 0);
-  UpdateBatch large = gen.MakeInsertions(g, 1024, 0);
+  workload::StreamSpec spec = workload::PreferentialSpec(16, 1);
+  UpdateBatch small = workload::StreamGenerator(spec, 84).Next(g);
+  spec.ops_per_batch = 1024;
+  UpdateBatch large = workload::StreamGenerator(spec, 84).Next(g);
 
   auto price = [&](auto& container, const UpdateBatch& batch) {
     container.BuildFrom(g);

@@ -17,11 +17,14 @@
 
 #include "core/stream_pipeline.hpp"
 #include "graph/graph_generator.hpp"
-#include "graph/update_stream.hpp"
 #include "serve/sharded_engine.hpp"
+#include "workload/stream_gen.hpp"
 
 namespace bdsm {
 namespace {
+
+using workload::PreferentialSpec;
+using workload::StreamGenerator;
 
 using serve::ShardedEngine;
 
@@ -118,20 +121,13 @@ void ExpectReportsEq(const BatchReport& got, const BatchReport& want,
   }
 }
 
-/// A 3-batch mixed stream prepared against the evolving graph (the
+/// A 3-batch 2:1 mixed stream prepared against the evolving graph (the
 /// per-batch sanitized form every engine will see).
 std::vector<UpdateBatch> MakeStream(const LabeledGraph& g, uint64_t seed,
                                     size_t ops_per_batch = 25) {
-  UpdateStreamGenerator gen(seed);
-  std::vector<UpdateBatch> stream;
-  LabeledGraph evolving = g;
-  for (int i = 0; i < 3; ++i) {
-    UpdateBatch b =
-        SanitizeBatch(evolving, gen.MakeMixed(evolving, ops_per_batch, 2, 1, 0));
-    ApplyBatch(&evolving, b);
-    stream.push_back(std::move(b));
-  }
-  return stream;
+  workload::StreamSpec spec = PreferentialSpec(ops_per_batch, 2.0 / 3);
+  spec.num_batches = 3;
+  return StreamGenerator(spec, seed).Generate(g);
 }
 
 // The acceptance bar: for every registry engine and several shard
@@ -253,8 +249,9 @@ TEST(ShardedEngineTest, RemoveAndLateAddOnShards) {
 // (round-robin), and ids must never be reused.
 TEST(ShardedEngineTest, InterleavedMutationStreamStaysBitIdentical) {
   LabeledGraph g = GenerateUniformGraph(120, 400, 3, 1, 91);
-  UpdateStreamGenerator gen(92);
-  LabeledGraph evolving = g;
+  workload::StreamSpec spec = PreferentialSpec(20, 2.0 / 3);
+  spec.num_batches = 8;
+  const std::vector<UpdateBatch> stream = StreamGenerator(spec, 92).Generate(g);
 
   constexpr size_t kShards = 3;
   ShardedEngine sharded("gamma", kShards, g);
@@ -296,9 +293,7 @@ TEST(ShardedEngineTest, InterleavedMutationStreamStaysBitIdentical) {
     EXPECT_EQ(sharded.QueryIds(), reference->QueryIds());
     EXPECT_EQ(sharded.NumQueries(), live.size());
 
-    UpdateBatch b =
-        SanitizeBatch(evolving, gen.MakeMixed(evolving, 20, 2, 1, 0));
-    ApplyBatch(&evolving, b);
+    const UpdateBatch& b = stream[step];
     ExpectReportsEq(sharded.ProcessBatch(b), reference->ProcessBatch(b),
                     /*with_stats=*/true);
   }
@@ -649,8 +644,8 @@ TEST(ShardedNestingTest, NestedCriticalPathChargesInnerLayer) {
   for (Engine* e : {flat.get(), nested.get()}) {
     for (const QueryGraph& q : FiveQueries()) e->AddQuery(q);
   }
-  UpdateStreamGenerator gen(78);
-  UpdateBatch batch = SanitizeBatch(g, gen.MakeMixed(g, 60, 2, 1, 0));
+  UpdateBatch batch =
+      StreamGenerator(PreferentialSpec(60, 2.0 / 3), 78).Next(g);
   BatchReport fr = flat->ProcessBatch(batch);
   BatchReport nr = nested->ProcessBatch(batch);
   EXPECT_EQ(fr.TotalMatches(), nr.TotalMatches());

@@ -7,11 +7,14 @@
 #include "graph/datasets.hpp"
 #include "graph/graph_generator.hpp"
 #include "graph/query_extractor.hpp"
-#include "graph/update_stream.hpp"
 #include "single_query.hpp"
+#include "workload/stream_gen.hpp"
 
 namespace bdsm {
 namespace {
+
+using workload::PreferentialSpec;
+using workload::StreamGenerator;
 
 // --- GPMA across segment capacities -----------------------------------
 
@@ -22,10 +25,9 @@ TEST_P(GpmaCapacitySweep, FuzzedBatchesKeepInvariants) {
   LabeledGraph g = GenerateUniformGraph(150, 500, 3, 2, 700 + cap);
   Gpma gpma(cap);
   gpma.BuildFrom(g);
-  UpdateStreamGenerator gen(800 + cap);
+  StreamGenerator gen(PreferentialSpec(70, 2.0 / 3, 2), 800 + cap);
   for (int round = 0; round < 6; ++round) {
-    UpdateBatch batch =
-        SanitizeBatch(g, gen.MakeMixed(g, 70, 2, 1, 2));
+    UpdateBatch batch = gen.Next(g);
     gpma.ApplyBatch(batch);
     ApplyBatch(&g, batch);
     gpma.CheckInvariants();
@@ -59,8 +61,8 @@ TEST_P(DeviceGeometrySweep, GeometryNeverChangesResults) {
   q.AddEdge(0, 1);
   q.AddEdge(1, 2);
   q.AddEdge(0, 2);
-  UpdateStreamGenerator gen(56);
-  UpdateBatch batch = SanitizeBatch(g, gen.MakeMixed(g, 30, 2, 1, 0));
+  UpdateBatch batch =
+      StreamGenerator(PreferentialSpec(30, 2.0 / 3), 56).Next(g);
 
   QueryReport want = RunGammaBatch(g, q, GammaOptions{}, batch);
 

@@ -12,10 +12,10 @@
 #include <vector>
 
 #include "graph/graph_generator.hpp"
-#include "graph/update_stream.hpp"
 #include "serve/tenant_front_door.hpp"
 #include "util/stats.hpp"
 #include "workload/scenario_runner.hpp"
+#include "workload/stream_gen.hpp"
 
 namespace bdsm {
 namespace {
@@ -40,21 +40,15 @@ QueryGraph PathQuery() {
   return q;
 }
 
-/// A mixed stream prepared against the evolving graph (the sanitized
-/// per-batch form every engine sees).
+/// A 2:1 mixed stream prepared against the evolving graph (the
+/// sanitized per-batch form every engine sees).
 std::vector<UpdateBatch> MakeStream(const LabeledGraph& g, uint64_t seed,
                                     size_t batches = 3,
                                     size_t ops_per_batch = 25) {
-  UpdateStreamGenerator gen(seed);
-  std::vector<UpdateBatch> stream;
-  LabeledGraph evolving = g;
-  for (size_t i = 0; i < batches; ++i) {
-    UpdateBatch b = SanitizeBatch(
-        evolving, gen.MakeMixed(evolving, ops_per_batch, 2, 1, 0));
-    ApplyBatch(&evolving, b);
-    stream.push_back(std::move(b));
-  }
-  return stream;
+  workload::StreamSpec spec =
+      workload::PreferentialSpec(ops_per_batch, 2.0 / 3);
+  spec.num_batches = batches;
+  return workload::StreamGenerator(spec, seed).Generate(g);
 }
 
 std::vector<std::string> SortedKeys(const std::vector<MatchRecord>& ms) {

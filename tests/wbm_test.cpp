@@ -11,11 +11,14 @@
 #include "graph/datasets.hpp"
 #include "graph/graph_generator.hpp"
 #include "graph/query_extractor.hpp"
-#include "graph/update_stream.hpp"
 #include "single_query.hpp"
+#include "workload/stream_gen.hpp"
 
 namespace bdsm {
 namespace {
+
+using workload::PreferentialSpec;
+using workload::StreamGenerator;
 
 /// Oracle incremental matches: set difference of full enumerations.
 struct OracleDelta {
@@ -127,8 +130,8 @@ TEST_P(WbmDifferentialTest, MatchesOracleOnRandomInstances) {
   opts.device.steal_policy = static_cast<StealPolicy>(steal);
 
   LabeledGraph g = GenerateUniformGraph(150, 500, 3, 1, seed);
-  UpdateStreamGenerator gen(seed * 31 + 7);
-  UpdateBatch batch = gen.MakeMixed(g, 40, 2, 1, 0);
+  UpdateBatch batch =
+      StreamGenerator(PreferentialSpec(40, 2.0 / 3), seed * 31 + 7).Next(g);
 
   // A symmetric query (triangle + tail) to exercise coalesced search.
   QueryGraph q({0, 0, 0, 1});
@@ -160,8 +163,8 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(WbmTest, EdgeLabeledGraphs) {
   for (uint64_t seed : {11ull, 12ull}) {
     LabeledGraph g = GenerateUniformGraph(120, 420, 2, 3, seed);
-    UpdateStreamGenerator gen(seed);
-    UpdateBatch batch = gen.MakeMixed(g, 30, 2, 1, 3);
+    UpdateBatch batch =
+        StreamGenerator(PreferentialSpec(30, 2.0 / 3, 3), seed).Next(g);
     QueryGraph q({0, 1, 0});
     q.AddEdge(0, 1, 0);
     q.AddEdge(1, 2, 1);
@@ -199,8 +202,7 @@ TEST(WbmTest, StealingPoliciesAgreeOnResults) {
   QueryExtractor ex(g, 3);
   auto qopt = ex.Extract(5, QueryGraph::StructureClass::kSparse);
   ASSERT_TRUE(qopt.has_value());
-  UpdateStreamGenerator gen(9);
-  UpdateBatch batch = gen.MakeInsertions(g, 60, 0);
+  UpdateBatch batch = StreamGenerator(PreferentialSpec(60, 1), 9).Next(g);
 
   std::vector<std::vector<std::string>> all_keys;
   for (StealPolicy p :
@@ -218,8 +220,7 @@ TEST(WbmTest, CoalescedSearchEquivalence) {
   // cs on/off must agree on a strongly symmetric query where coalesced
   // plans actually fire.
   LabeledGraph g = GenerateUniformGraph(150, 700, 2, 1, 21);
-  UpdateStreamGenerator gen(22);
-  UpdateBatch batch = gen.MakeInsertions(g, 40, 0);
+  UpdateBatch batch = StreamGenerator(PreferentialSpec(40, 1), 22).Next(g);
   QueryGraph q({0, 0, 0, 0});  // square
   q.AddEdge(0, 1);
   q.AddEdge(1, 2);
@@ -251,9 +252,9 @@ TEST(WbmTest, SequentialBatchesStayConsistent) {
   options.gamma = SmallDevice();
   auto engine = MakeEngine("gamma", g, options);
   const QueryId id = engine->AddQuery(q);
-  UpdateStreamGenerator gen(34);
+  StreamGenerator gen(PreferentialSpec(30, 2.0 / 3), 34);
   for (int round = 0; round < 5; ++round) {
-    UpdateBatch batch = SanitizeBatch(g, gen.MakeMixed(g, 30, 2, 1, 0));
+    UpdateBatch batch = gen.Next(g);
     OracleDelta oracle = OracleIncremental(g, batch, q);
     BatchReport report = engine->ProcessBatch(batch);
     const QueryReport& res = *report.Find(id);
@@ -277,8 +278,7 @@ TEST(WbmTest, EmptyBatchYieldsNothing) {
 TEST(WbmTest, TwoVertexQuery) {
   // |V(Q)| = 2 exercises the InitPlan fast path.
   LabeledGraph g = GenerateUniformGraph(80, 240, 2, 1, 45);
-  UpdateStreamGenerator gen(46);
-  UpdateBatch batch = gen.MakeMixed(g, 20, 1, 1, 0);
+  UpdateBatch batch = StreamGenerator(PreferentialSpec(20, 0.5), 46).Next(g);
   QueryGraph q({0, 1});
   q.AddEdge(0, 1);
   ExpectMatchesOracle(g, batch, q, SmallDevice(), "2-vertex");

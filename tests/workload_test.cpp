@@ -1,9 +1,10 @@
 /// Workload-layer tests: generator determinism (same seed => identical
-/// stream) and replay validity for every stream kind, kind-specific
-/// shape properties (temporal expiry, churn deletion-heaviness, burst
-/// spikes, hotspot/power-law concentration), and the binary trace
+/// stream), replay validity and pinned stream digests for every stream
+/// kind, kind-specific shape properties (temporal expiry, churn
+/// deletion-heaviness, burst spikes, hotspot/power-law concentration,
+/// preferential insert share, k-core confinement), and the binary trace
 /// format (record/replay round-trip exact, golden byte-identity,
-/// corrupt-header rejection).
+/// corrupt-header and corrupt-op rejection).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -12,6 +13,7 @@
 #include <string>
 
 #include "graph/graph_generator.hpp"
+#include "graph/kcore.hpp"
 #include "workload/stream_gen.hpp"
 #include "workload/trace.hpp"
 
@@ -32,6 +34,28 @@ StreamSpec SpecFor(StreamKind kind) {
   s.window_batches = 2;
   s.burst_period = 3;
   return s;
+}
+
+// FNV-1a over each batch's length and every op field: a stream's
+// fingerprint, so a changed draw anywhere in a sampler shows.
+uint64_t StreamDigest(const std::vector<UpdateBatch>& stream) {
+  uint64_t h = 14695981039346656037ull;
+  auto mix = [&h](uint64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (x >> (8 * i)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  };
+  for (const UpdateBatch& batch : stream) {
+    mix(batch.size());
+    for (const UpdateOp& op : batch) {
+      mix(op.is_insert);
+      mix(op.u);
+      mix(op.v);
+      mix(op.elabel);
+    }
+  }
+  return h;
 }
 
 std::string ReadFileBytes(const std::string& path) {
@@ -95,6 +119,52 @@ INSTANTIATE_TEST_SUITE_P(
       return StreamKindName(info.param);
     });
 
+TEST(StreamDigestTest, PinnedStreamsByteIdentical) {
+  // Any change to a kind's draws changes its stream for every consumer
+  // (scenarios, traces, benchmark fingerprints, the micro-plan baseline):
+  // such a change must update these digests deliberately.
+  const std::vector<std::pair<StreamKind, uint64_t>> pinned = {
+      {StreamKind::kUniform, 0x27d6ab2383801017ull},
+      {StreamKind::kPowerLaw, 0xa45f591430516a02ull},
+      {StreamKind::kTemporal, 0xba4676529a9df0daull},
+      {StreamKind::kBurst, 0xb1f4a9f0eabe0795ull},
+      {StreamKind::kChurn, 0x06b2fbefce1ac8c9ull},
+      {StreamKind::kHotspot, 0xff79dc5453d57614ull}};
+  for (const auto& [kind, digest] : pinned) {
+    EXPECT_EQ(StreamDigest(StreamGenerator(SpecFor(kind), 2024).Generate(
+                  TestGraph())),
+              digest)
+        << StreamKindName(kind);
+  }
+}
+
+TEST(StreamDigestTest, PaperFigureStreamsByteIdentical) {
+  // The paper-figure streams were first drawn by a separate generator
+  // (graph/update_stream's MakeInsertions, MakeDeletions, MakeMixed and
+  // MakeCoreInsertions, each batch against the evolving graph); these
+  // digests were recorded from it at seed 2024, so kPreferential and
+  // kCore reproduce those streams draw for draw.
+  auto digest = [](const StreamSpec& spec, const LabeledGraph& g) {
+    return StreamDigest(StreamGenerator(spec, 2024).Generate(g));
+  };
+  StreamSpec pref = SpecFor(StreamKind::kPreferential);
+  pref.insert_fraction = 1;  // MakeInsertions(g, 80, 2)
+  EXPECT_EQ(digest(pref, TestGraph()), 0xe9b73c78ddb00721ull);
+  pref.insert_fraction = 0;  // MakeDeletions(g, 80)
+  EXPECT_EQ(digest(pref, TestGraph()), 0xdc8ee3ec5e150c2bull);
+  pref.insert_fraction = 2.0 / 3;  // MakeMixed(g, 80, 2, 1, 2)
+  EXPECT_EQ(digest(pref, TestGraph()), 0x6f4d9b795798d3a4ull);
+
+  StreamSpec core = SpecFor(StreamKind::kCore);
+  core.core_k = 4;  // MakeCoreInsertions(g, 80, 4, 2)
+  EXPECT_EQ(digest(core, TestGraph()), 0x48adc3efd0edd5e9ull);
+  core.core_k = 1000;  // no 1000-core: the densest core serves
+  EXPECT_EQ(digest(core, TestGraph()), 0x57fbe2e2d1c8d2bcull);
+  core.core_k = 4;  // no edges, no core: preferential picks
+  EXPECT_EQ(digest(core, GenerateUniformGraph(400, 0, 3, 2, 99)),
+            0x706ab8bcf34d1f69ull);
+}
+
 TEST(StreamGeneratorShapeTest, TemporalWindowExpiresInserts) {
   LabeledGraph g = TestGraph();
   StreamSpec spec = SpecFor(StreamKind::kTemporal);
@@ -130,6 +200,47 @@ TEST(StreamGeneratorShapeTest, ChurnIsDeletionHeavy) {
     for (const UpdateOp& op : batch) (op.is_insert ? ins : del)++;
   }
   EXPECT_GT(del, ins);
+}
+
+TEST(StreamGeneratorShapeTest, PreferentialInsertShare) {
+  LabeledGraph g = TestGraph();
+  StreamSpec spec = SpecFor(StreamKind::kPreferential);
+  // Fig. 11's 2:1 mix, pure growth, pure deletion: the insert count is
+  // the exact integer share of every batch.
+  for (double f : {2.0 / 3, 1.0, 0.0}) {
+    spec.insert_fraction = f;
+    const size_t want_ins = static_cast<size_t>(80 * f);
+    for (const UpdateBatch& batch : StreamGenerator(spec, 20).Generate(g)) {
+      size_t ins = 0;
+      for (const UpdateOp& op : batch) ins += op.is_insert ? 1 : 0;
+      EXPECT_EQ(batch.size(), spec.ops_per_batch) << f;
+      EXPECT_EQ(ins, want_ins) << f;
+    }
+  }
+}
+
+TEST(StreamGeneratorShapeTest, CoreInsertionsStayInCore) {
+  LabeledGraph g = TestGraph();
+  StreamSpec spec = SpecFor(StreamKind::kCore);
+  // A k above the degeneracy falls back to the densest core.
+  const size_t degeneracy = Degeneracy(g);
+  for (size_t k : {degeneracy, degeneracy + 5}) {
+    spec.core_k = k;
+    LabeledGraph evolving = g;
+    StreamGenerator gen(spec, 21);
+    for (int b = 0; b < 3; ++b) {
+      std::vector<uint32_t> core = CoreNumbers(evolving);
+      const size_t want = std::min<size_t>(k, Degeneracy(evolving));
+      UpdateBatch batch = gen.Next(evolving);
+      ASSERT_FALSE(batch.empty());
+      for (const UpdateOp& op : batch) {
+        EXPECT_TRUE(op.is_insert);
+        EXPECT_GE(core[op.u], want);
+        EXPECT_GE(core[op.v], want);
+      }
+      ApplyBatch(&evolving, batch);
+    }
+  }
 }
 
 TEST(StreamGeneratorShapeTest, BurstBatchesSpike) {
@@ -273,7 +384,8 @@ TEST(TraceTest, RejectsCorruptHeaders) {
 TEST(TraceTest, RecoverModeStopsAtLastGoodBatch) {
   // The WAL-tail contract (persist/wal.hpp): a torn final write is
   // recoverable wreckage, not corruption — recover mode serves every
-  // complete batch and reports truncated() instead of !ok().
+  // complete batch and reports truncated() instead of !ok().  A damaged
+  // op flag is handled the same way.
   std::vector<UpdateBatch> stream = {
       {UpdateOp{true, 1, 2, 0}},
       {UpdateOp{true, 3, 4, 0}, UpdateOp{false, 1, 2, 0}},
@@ -282,10 +394,10 @@ TEST(TraceTest, RecoverModeStopsAtLastGoodBatch) {
   ASSERT_TRUE(WriteTrace(path, TraceMeta{9, "r"}, stream));
   const std::string bytes = ReadFileBytes(path);
 
-  auto rewrite = [&](size_t keep) {
+  auto rewrite = [&](const std::string& contents) {
     FILE* f = fopen(path.c_str(), "wb");
     ASSERT_NE(f, nullptr);
-    fwrite(bytes.data(), 1, keep, f);
+    fwrite(contents.data(), 1, contents.size(), f);
     fclose(f);
   };
   auto drain = [](TraceReader* r) {
@@ -297,7 +409,7 @@ TEST(TraceTest, RecoverModeStopsAtLastGoodBatch) {
   recover.recover_truncated = true;
 
   // Torn mid-op in the final batch: two good batches survive.
-  rewrite(bytes.size() - 5);
+  rewrite(bytes.substr(0, bytes.size() - 5));
   {
     TraceReader strict(path);
     ASSERT_TRUE(strict.ok());
@@ -317,15 +429,31 @@ TEST(TraceTest, RecoverModeStopsAtLastGoodBatch) {
 
   // Torn exactly on a batch boundary (the final batch's ops are gone
   // but its count survived): still two good batches.
-  rewrite(bytes.size() - 13 - 4);  // 13-byte op + part of the count
+  // 13-byte op + part of the count.
+  rewrite(bytes.substr(0, bytes.size() - 13 - 4));
   {
     TraceReader r(path, recover);
     EXPECT_EQ(drain(&r).size(), 2u);
     EXPECT_TRUE(r.truncated());
   }
 
+  // A flag byte other than 0 or 1 (here the final op's) is a damaged
+  // record, not an insertion: corrupt in strict mode, the torn end of
+  // the good batches in recover mode.
+  std::string bad_flag = bytes;
+  bad_flag[bytes.size() - 13] = '\x02';
+  rewrite(bad_flag);
+  {
+    EXPECT_FALSE(ReadTrace(path).has_value());
+    TraceReader r(path, recover);
+    EXPECT_EQ(drain(&r), std::vector<UpdateBatch>(stream.begin(),
+                                                  stream.begin() + 2));
+    EXPECT_TRUE(r.ok());
+    EXPECT_TRUE(r.truncated());
+  }
+
   // Untouched file: recover mode is a no-op (all batches, clean end).
-  rewrite(bytes.size());
+  rewrite(bytes);
   {
     TraceReader r(path, recover);
     EXPECT_EQ(drain(&r), stream);
@@ -338,11 +466,8 @@ TEST(TraceTest, RecoverModeStopsAtLastGoodBatch) {
   // recover mode walks the bytes and finds all three batches.
   std::string unpatched = bytes;
   for (int i = 0; i < 8; ++i) unpatched[24 + i] = '\0';
+  rewrite(unpatched);
   {
-    FILE* f = fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    fwrite(unpatched.data(), 1, unpatched.size(), f);
-    fclose(f);
     TraceReader strict(path);
     EXPECT_EQ(drain(&strict).size(), 0u);
     EXPECT_TRUE(strict.ok());
