@@ -51,6 +51,9 @@ int main(int argc, char** argv) {
   UpdateBatch batch =
       MakeRateBatch(g, spec, scale.default_rate, scale, scale.seed + 2);
 
+  // One host budget per match phase for both contenders: "multi" runs
+  // one fused grid per phase, "gamma" its per-query grids in one region
+  // that shares the budget clock.
   EngineOptions opts;
   opts.gamma.device.host_budget_seconds = scale.query_budget_s;
   double tick_us = opts.gamma.device.TickSeconds() * 1e6;

@@ -392,9 +392,10 @@ struct DeviceSlot {
 /// "gamma" and "multi": the pipeline of Fig. 3 over one canonical host
 /// graph, one GPMA and one device, keeping per query only a DeviceSlot.
 /// `fused` is the one difference between the two names:
-///   - match phase: one WBM launch per query, run back to back
-///     ("gamma"), or every query's tasks in one launch under one result
-///     cap ("multi");
+///   - match phase: one WBM grid per query, each under its own result
+///     cap ("gamma"), or every query's tasks in one grid under one cap
+///     ("multi"); either way one Device::Launch per phase, so gamma's
+///     grids share one host region and one host budget clock;
 ///   - update charge: the batch's one GPMA update kernel is charged to
 ///     the report once per query, as if each query ran its own pipeline
 ///     ("gamma"), or once ("multi");
@@ -452,11 +453,56 @@ class DeviceEngine final : public SlotEngine<DeviceSlot> {
       order.emplace(Edge(op.u, op.v), next);
     }
     if (seeds.empty() || slots_.empty()) return;
-    const size_t per_launch = fused_ ? slots_.size() : 1;
-    for (size_t first = 0; first < slots_.size(); first += per_launch) {
-      Launch(first, std::min(first + per_launch, slots_.size()), seeds,
-             order, positive, report);
+
+    // One grid per query ("gamma") or one for all ("multi"), simulated in
+    // one host region under one host budget.  Each grid has its own
+    // result cap; each query's tasks read its own context and encoding.
+    const size_t num_queries = slots_.size();
+    const size_t num_grids = fused_ ? 1 : num_queries;
+    std::vector<ResultCap> caps(num_grids);
+    std::vector<WbmEnv> envs;
+    envs.reserve(num_queries);
+    // Per query, one match slot per seed.
+    std::vector<std::vector<std::vector<MatchRecord>>> found(
+        num_queries, std::vector<std::vector<MatchRecord>>(seeds.size()));
+    for (size_t i = 0; i < num_queries; ++i) {
+      DeviceSlot& slot = SlotFor(i, *report);
+      WbmEnv& env = envs.emplace_back(
+          WbmEnv{&gpma_, &slot.qctx, &slot.encoder, &order, positive});
+      env.result_cap = options_.result_cap;
+      if (env.result_cap > 0) {
+        ResultCap& cap = caps[fused_ ? 0 : i];
+        env.emitted = &cap.emitted;
+        env.overflowed = &cap.overflowed;
+      }
     }
+    // Grid g's launch index k is query g * per_grid + k / |seeds|'s task
+    // for seed k % |seeds|.
+    const size_t per_grid = num_queries / num_grids;
+    std::vector<Device::Grid> grids(num_grids);
+    for (size_t g = 0; g < num_grids; ++g) {
+      grids[g].n = per_grid * seeds.size();
+      grids[g].make = [&, g](size_t k) {
+        const size_t q = g * per_grid + k / seeds.size();
+        const size_t s = k % seeds.size();
+        return MakeWbmTask(envs[q], seeds[s], &found[q][s]);
+      };
+    }
+    const std::vector<DeviceStats> stats = device_.Launch(grids);
+
+    // Each grid's stats are charged to each of its queries and once to
+    // the report.
+    for (size_t i = 0; i < num_queries; ++i) {
+      const size_t g = fused_ ? 0 : i;
+      QueryReport& qr = report->queries[i];
+      auto& dst = positive ? qr.positive_matches : qr.negative_matches;
+      for (const auto& s : found[i]) dst.insert(dst.end(), s.begin(), s.end());
+      qr.match_stats.MergeSequential(stats[g]);
+      qr.timed_out = qr.timed_out || stats[g].timed_out;
+      qr.overflowed =
+          qr.overflowed || caps[g].overflowed.load(std::memory_order_relaxed);
+    }
+    for (const DeviceStats& s : stats) report->match_stats.MergeSequential(s);
   }
 
   void RunUpdatePhase(const UpdateBatch& batch,
@@ -499,51 +545,11 @@ class DeviceEngine final : public SlotEngine<DeviceSlot> {
   }
 
  private:
-  /// One WBM launch over the queries [first, last): each query's tasks
-  /// read its own context and encoding, all of them share one result
-  /// cap, and the launch's stats are charged to each of those queries
-  /// and once to the report.
-  void Launch(size_t first, size_t last, const std::vector<SeedEdge>& seeds,
-              const std::unordered_map<Edge, uint32_t, EdgeHash>& order,
-              bool positive, BatchReport* report) {
+  /// One grid's shared match counter and overflow flag.
+  struct ResultCap {
     std::atomic<size_t> emitted{0};
     std::atomic<bool> overflowed{false};
-    // Per query, its env (the tasks keep pointers into it) and one match
-    // slot per seed.
-    std::vector<WbmEnv> envs;
-    envs.reserve(last - first);
-    std::vector<std::vector<std::vector<MatchRecord>>> found(last - first);
-    for (size_t i = first; i < last; ++i) {
-      DeviceSlot& slot = SlotFor(i, *report);
-      WbmEnv& env = envs.emplace_back(
-          WbmEnv{&gpma_, &slot.qctx, &slot.encoder, &order, positive});
-      env.result_cap = options_.result_cap;
-      if (env.result_cap > 0) {
-        env.emitted = &emitted;
-        env.overflowed = &overflowed;
-      }
-      found[i - first].resize(seeds.size());
-    }
-    // Launch index k is query k / |seeds|'s task for seed k % |seeds|.
-    const DeviceStats stats =
-        device_.Launch(envs.size() * seeds.size(), [&](size_t k) {
-          const size_t q = k / seeds.size();
-          const size_t s = k % seeds.size();
-          return MakeWbmTask(envs[q], seeds[s], &found[q][s]);
-        });
-    const bool over = overflowed.load(std::memory_order_relaxed);
-    for (size_t i = first; i < last; ++i) {
-      QueryReport& qr = report->queries[i];
-      auto& dst = positive ? qr.positive_matches : qr.negative_matches;
-      for (const auto& s : found[i - first]) {
-        dst.insert(dst.end(), s.begin(), s.end());
-      }
-      qr.match_stats.MergeSequential(stats);
-      qr.timed_out = qr.timed_out || stats.timed_out;
-      qr.overflowed = qr.overflowed || over;
-    }
-    report->match_stats.MergeSequential(stats);
-  }
+  };
 
   GammaOptions options_;
   bool fused_;

@@ -543,7 +543,7 @@ struct EngineDef {
 
 /// Spec-tree-keyed engine factory.  Built-in names (case-insensitive):
 ///   "gamma"              one host graph, GPMA and device; one WBM
-///                        launch per query
+///                        grid per query, simulated together
 ///   "multi"              the same engine with every query fused into
 ///                        each launch
 ///   "tf" | "turboflux"   TurboFlux-lite   (CPU baseline)

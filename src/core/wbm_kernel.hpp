@@ -50,7 +50,7 @@ struct WbmEnv {
   /// Order of every same-polarity update edge in the batch.
   const std::unordered_map<Edge, uint32_t, EdgeHash>* update_order;
   bool positive;                       ///< stamped on emitted matches
-  /// Launch-wide cap on emitted matches (0 = unlimited).  Result sets of
+  /// Grid-wide cap on emitted matches (0 = unlimited).  Result sets of
   /// tree queries explode combinatorially; on a 128 GB testbed the paper
   /// bounds them by its 30-minute timeout, here the cap bounds memory
   /// the same way: once hit, tasks stop and the launch reports overflow.

@@ -131,7 +131,10 @@ size_t Gpma::LocateSegmentLinear(uint64_t key) const {
 }
 
 Gpma::Locator Gpma::Locate(uint64_t key) const {
-  size_t seg = LocateSegmentIndexed(key);
+  return LocateIn(LocateSegmentIndexed(key), key);
+}
+
+Gpma::Locator Gpma::LocateIn(size_t seg, uint64_t key) const {
   size_t cnt = segs_[seg].count;
   size_t a = 0, b = cnt;
   while (a < b) {
@@ -493,8 +496,10 @@ UpdatePlan Gpma::ApplyBatch(const UpdateBatch& batch) {
       ++i;
       continue;
     }
+    // Every entry of the group lands in `seg`: the segments after it
+    // start at or past seg_limit.  So search that segment alone.
     for (size_t k = i; k < j; ++k) {
-      Locator l = Locate(entries[k].first);
+      Locator l = LocateIn(seg, entries[k].first);
       if (!l.found) InsertAt(l, entries[k].first, entries[k].second);
     }
     plan.inplace_ops += group;

@@ -151,6 +151,9 @@ class Gpma {
   /// Binary search for `key`: segment via the tree descent, then
   /// position within the segment.
   Locator Locate(uint64_t key) const;
+  /// The position step alone, in a segment the caller already knows
+  /// holds (or precedes) `key`.
+  Locator LocateIn(size_t seg, uint64_t key) const;
 
   /// Grows (or, with hysteresis, shrinks) the segment's storage class so
   /// it holds `needed` entries, copying the live prefix.  Returns whether

@@ -38,9 +38,10 @@ class BlockScheduler {
  public:
   /// `tasks` is this block's statically assigned queue (grid-stride
   /// assignment happens in Device).
-  /// `launch_timer` (optional) is the whole launch's shared wall clock;
-  /// with a positive cfg.host_budget_seconds, the block abandons its
-  /// remaining work once that clock passes the budget.
+  /// `launch_timer` (optional) is the wall clock shared by every block of
+  /// the Launch call's host region, all its grids included; with a
+  /// positive cfg.host_budget_seconds, the block abandons its remaining
+  /// work once that clock passes the budget.
   BlockScheduler(const DeviceConfig& cfg, uint32_t block_id,
                  DeviceAllocator* allocator,
                  std::vector<std::unique_ptr<WarpTask>> tasks,

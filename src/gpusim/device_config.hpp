@@ -54,10 +54,10 @@ struct DeviceConfig {
 
   StealPolicy steal_policy = StealPolicy::kActive;
 
-  /// Host wall-clock budget for one Launch (0 = unlimited).  The
-  /// simulator analogue of the paper's 30-minute query timeout: blocks
-  /// abandon their remaining work once the budget expires and the launch
-  /// reports timed_out.
+  /// Host wall-clock budget for one Launch call, i.e. one host region
+  /// with all its grids (0 = unlimited).  The simulator analogue of the
+  /// paper's 30-minute query timeout: blocks abandon their remaining
+  /// work once the budget expires and their grids report timed_out.
   double host_budget_seconds = 0.0;
 
   double TickSeconds() const { return 1e-9 / clock_ghz; }

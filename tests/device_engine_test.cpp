@@ -177,6 +177,51 @@ TEST(DeviceEngineParityTest, EveryQueryEqualsItsSingleQueryEngine) {
   }
 }
 
+// "gamma" simulates its per-query grids together in one host region
+// per match phase.  A 4-query engine must still
+// report, per query, what a 1-query engine reports: the same match
+// multisets and the same match and update DeviceStats, batch by batch
+// over a churn stream.
+TEST(DeviceEngineTest, FourQueryGammaEqualsFourSingleQueryEngines) {
+  LabeledGraph g = GenerateUniformGraph(200, 700, 3, 1, 71);
+  const std::vector<QueryGraph> queries = {TriangleQuery(), PathQuery(),
+                                           SquareQuery(), WedgeQuery()};
+  auto gamma = MakeEngine("gamma", g);
+  std::vector<std::unique_ptr<Engine>> singles;
+  for (const QueryGraph& q : queries) {
+    gamma->AddQuery(q);
+    singles.push_back(MakeEngine("gamma", g));
+    singles.back()->AddQuery(q);
+  }
+  workload::StreamSpec spec;
+  spec.kind = workload::StreamKind::kChurn;
+  spec.num_batches = 12;
+  spec.ops_per_batch = 60;
+  const std::vector<UpdateBatch> stream =
+      StreamGenerator(spec, 72).Generate(g);
+  size_t matches = 0;
+  for (size_t b = 0; b < stream.size(); ++b) {
+    SCOPED_TRACE("batch " + std::to_string(b));
+    const BatchReport got = gamma->ProcessBatch(stream[b]);
+    ASSERT_EQ(got.queries.size(), queries.size());
+    for (size_t i = 0; i < queries.size(); ++i) {
+      const BatchReport ref = singles[i]->ProcessBatch(stream[b]);
+      const QueryReport& want = ref.queries[0];
+      const QueryReport& have = got.queries[i];
+      EXPECT_EQ(CanonicalKeys(have.positive_matches),
+                CanonicalKeys(want.positive_matches))
+          << "query " << i;
+      EXPECT_EQ(CanonicalKeys(have.negative_matches),
+                CanonicalKeys(want.negative_matches))
+          << "query " << i;
+      EXPECT_EQ(have.match_stats, want.match_stats) << "query " << i;
+      EXPECT_EQ(have.update_stats, want.update_stats) << "query " << i;
+      matches += want.TotalMatches();
+    }
+  }
+  EXPECT_GT(matches, 0u);
+}
+
 TEST(DeviceEngineTest, SharedUpdateChargedOnce) {
   LabeledGraph g = GenerateUniformGraph(100, 300, 2, 1, 93);
   QueryGraph q({0, 0});

@@ -1,9 +1,13 @@
 /// Tests for the SIMT device simulator: charging/cost model, allocator
 /// spill accounting, block scheduling determinism (across runs, host
-/// thread counts and launch forms), thread-affine task lifetimes, work
+/// thread counts, launch forms and grids launched together), the host
+/// budget shared by a launch's grids, thread-affine task lifetimes, work
 /// stealing (active + passive) semantics and utilization effects.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <numeric>
@@ -337,9 +341,119 @@ TEST(DeviceTest, MoreTasksThanWarpsAllRun) {
 
 TEST(DeviceTest, EmptyLaunchIsNoop) {
   Device dev(SmallConfig(StealPolicy::kActive));
-  DeviceStats stats = dev.Launch({});
+  DeviceStats stats = dev.Launch(std::vector<std::unique_ptr<WarpTask>>{});
   EXPECT_EQ(stats.makespan_ticks, 0u);
   EXPECT_EQ(stats.tasks_executed, 0u);
+  EXPECT_TRUE(dev.Launch(std::vector<Device::Grid>{}).empty());
+  const std::vector<DeviceStats> empty_grid = dev.Launch({Device::Grid{}});
+  ASSERT_EQ(empty_grid.size(), 1u);
+  EXPECT_EQ(empty_grid[0], DeviceStats{});
+}
+
+/// Three skewed grids of different shapes (and one empty grid) for the
+/// multi-grid launch tests: units of grid g's task i.
+uint64_t GridUnits(size_t g, size_t i) {
+  switch (g) {
+    case 0:
+      return SkewedUnits(i);
+    case 1:
+      return i % 5 == 2 ? 250 : 2 + i % 3;
+    default:
+      return i == 0 ? 600 : 4;
+  }
+}
+constexpr size_t kGridSizes[] = {kSkewedTasks, 23, 0, 9};
+
+std::vector<Device::Grid> SkewedGrids(std::atomic<uint64_t>* done) {
+  std::vector<Device::Grid> grids;
+  for (size_t g = 0; g < std::size(kGridSizes); ++g) {
+    Device::Grid grid;
+    grid.n = kGridSizes[g];
+    grid.make = [g, done](size_t i) {
+      return std::make_unique<BurnTask>(GridUnits(g, i), 4, done);
+    };
+    grids.push_back(std::move(grid));
+  }
+  return grids;
+}
+
+// Grids launched together in one host region each report exactly the
+// stats of that grid launched alone, whatever the host threads and the
+// stealing policy.
+TEST(DeviceTest, MultiGridLaunchMatchesSeparateLaunches) {
+  for (StealPolicy policy : {StealPolicy::kActive, StealPolicy::kPassive}) {
+    std::vector<DeviceStats> alone;
+    for (size_t g = 0; g < std::size(kGridSizes); ++g) {
+      Device dev(SkewedConfig(policy), 1);
+      std::atomic<uint64_t> done{0};
+      alone.push_back(dev.Launch(kGridSizes[g], [&](size_t i) {
+        return std::make_unique<BurnTask>(GridUnits(g, i), 4, &done);
+      }));
+    }
+    EXPECT_GT(alone[0].steal_events, 0u);
+    EXPECT_GT(alone[1].steal_events, 0u);
+    for (uint32_t threads : {1u, 2u, 4u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "policy " << static_cast<int>(policy) << ", "
+                   << threads << " host threads");
+      Device dev(SkewedConfig(policy), threads);
+      std::atomic<uint64_t> done{0};
+      const std::vector<DeviceStats> together = dev.Launch(SkewedGrids(&done));
+      ASSERT_EQ(together.size(), alone.size());
+      for (size_t g = 0; g < alone.size(); ++g) {
+        EXPECT_EQ(together[g], alone[g]) << "grid " << g;
+      }
+    }
+  }
+}
+
+/// A BurnTask whose first step sleeps for `nap` of host wall time.
+class NapTask final : public BurnTask {
+ public:
+  NapTask(uint64_t units, std::chrono::milliseconds nap,
+          std::atomic<uint64_t>* done)
+      : BurnTask(units, 1, done), nap_(nap) {}
+
+  bool Step(WarpContext& ctx) override {
+    std::this_thread::sleep_for(nap_);
+    nap_ = {};
+    return BurnTask::Step(ctx);
+  }
+
+ private:
+  std::chrono::milliseconds nap_;
+};
+
+// The host budget is one clock per Launch call, shared by all its grids.
+// At one host thread the caller runs grid 0, then grid 1 (claims are
+// grid-major).  Grid 0 naps past the budget; grid 1 alone finishes well
+// within it, but launched after grid 0 it finds the budget spent at its
+// first clock check (every 2048 scheduler steps) and gives up.
+TEST(DeviceTest, HostBudgetIsSharedByTheLaunchsGrids) {
+  DeviceConfig cfg = SmallConfig(StealPolicy::kNone);
+  cfg.num_sms = 1;
+  cfg.host_budget_seconds = 0.05;
+  constexpr uint64_t kUnits = 4096;  // two clock checks' worth of steps
+  std::atomic<uint64_t> done{0};
+  const Device::Grid slow{1, [&](size_t) {
+                            return std::make_unique<NapTask>(
+                                kUnits, std::chrono::milliseconds(100),
+                                &done);
+                          }};
+  const Device::Grid quick{1, [&](size_t) {
+                             return std::make_unique<BurnTask>(kUnits, 1,
+                                                               &done);
+                           }};
+  Device dev(cfg, /*host_threads=*/1);
+  const DeviceStats alone = dev.Launch({quick})[0];
+  EXPECT_FALSE(alone.timed_out);
+  EXPECT_EQ(alone.compute_steps, kUnits);
+
+  const std::vector<DeviceStats> together = dev.Launch({slow, quick});
+  ASSERT_EQ(together.size(), 2u);
+  EXPECT_TRUE(together[0].timed_out);
+  EXPECT_TRUE(together[1].timed_out);
+  EXPECT_LT(together[1].compute_steps, kUnits);
 }
 
 TEST(CoopGroupsTest, PartitionSizes) {
